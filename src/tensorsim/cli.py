@@ -378,6 +378,8 @@ def _cmd_threshold_search(args, outdir, cfg_hash):
 
 def _cmd_sweep(args, outdir, cfg_hash):
     spec = _load_spec(args.system)
+    if args.fault_bus is None:
+        raise ConfigError("--fault-bus is required for this command")
     policy = _policy(args)
     try:
         lo, hi, step = (float(t) for t in args.sweep_levels.split(":"))

@@ -15,6 +15,11 @@ the direct one for the coupling, so each machine is a voltage source
 ``(edp + j eqp) e^{j(delta - pi/2)}`` behind ``xdp`` and the model stays a
 pure ODE.  Loads are folded into the admittance matrix as constant
 impedances at their solved voltages.
+
+Network conditions: every right-hand side runs on the pre-fault reduced
+matrix ``SystemModel.y_red`` except while a fault is on, whose matrix
+comes from the one fault route :func:`apply_fault`.  Faults self-clear
+with no topology change, so the post-fault network is the pre-fault one.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ __all__ = [
     "apply_fault",
     "admittance_column_norms",
     "reduced_column_norms",
-    "state_index",
     "state_labels",
 ]
 
@@ -164,9 +168,6 @@ class SystemSpec:
 
     def bus_index(self) -> dict:
         return {b.id: i for i, b in enumerate(self.buses)}
-
-    def machine_index(self) -> dict:
-        return {m.id: i for i, m in enumerate(self.machines)}
 
 
 _MACHINE_KEYS = {
@@ -538,13 +539,6 @@ class SystemModel:
     def external_idx(self) -> np.ndarray:
         return np.array([self.machine_pos(g) for g in self.external], dtype=int)
 
-    def faulted_y_red(self, bus: int) -> np.ndarray:
-        return build_reduced_admittance(self.spec, self.pf, fault_bus=bus)
-
-
-def state_index(machine_pos: int, name: str) -> int:
-    return machine_pos * N_STATES + STATE_NAMES.index(name)
-
 
 def state_labels(machines) -> list:
     return [f"{m.id}.{s}" for m in machines for s in STATE_NAMES]
@@ -598,85 +592,21 @@ def _rhs(sys: SystemModel, yred: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _rhs_rows(sys: SystemModel, yred: np.ndarray, x: np.ndarray, gen_mask: np.ndarray) -> np.ndarray:
-    """Rows of the full rhs for the machines selected by ``gen_mask``;
-    other machines' rows are returned as zero.  Internal voltages of all
-    machines still feed the selected currents, preserving coupling."""
-    p = sys._p
-    m = sys.n_machines
-    xs = x.reshape(m, N_STATES)
-    delta = xs[:, 0]
-    eqp = xs[:, 2]
-    edp = xs[:, 3]
-
-    u = np.sin(delta) - 1j * np.cos(delta)
-    e_net = (edp + 1j * eqp) * u
-    sel = np.flatnonzero(gen_mask)
-    i_sel = yred[sel, :] @ e_net
-    i_mach = i_sel * np.conj(u[sel])
-    id_ = i_mach.real
-    iq = i_mach.imag
-
-    omega = xs[sel, 1]
-    eqp_s = eqp[sel]
-    edp_s = edp[sel]
-    efd = xs[sel, 4]
-    vr = xs[sel, 5]
-    rf = xs[sel, 6]
-    pm = xs[sel, 7]
-    pgv = xs[sel, 8]
-
-    pe = edp_s * id_ + eqp_s * iq
-    vt = np.abs(e_net[sel] - 1j * p["xdp"][sel] * i_sel)
-    dom = omega - 1.0
-    se = p["aex"][sel] * np.exp(p["bex"][sel] * efd)
-
-    out = np.zeros((m, N_STATES))
-    out[sel, 0] = OMEGA_S * dom
-    out[sel, 1] = (pm - pe - p["d"][sel] * dom) / (2.0 * p["h"][sel])
-    out[sel, 2] = (-eqp_s - (p["xd"][sel] - p["xdp"][sel]) * id_ + efd) / p["td0p"][sel]
-    out[sel, 3] = (-edp_s + (p["xq"][sel] - p["xqp"][sel]) * iq) / p["tq0p"][sel]
-    out[sel, 4] = (-(p["ke"][sel] + se) * efd + vr) / p["te"][sel]
-    out[sel, 5] = (
-        -vr + p["ka"][sel] * rf - (p["ka"][sel] * p["kf"][sel] / p["tf"][sel]) * efd
-        + p["ka"][sel] * (p["vref"][sel] - vt)
-    ) / p["ta"][sel]
-    out[sel, 6] = (-rf + (p["kf"][sel] / p["tf"][sel]) * efd) / p["tf"][sel]
-    out[sel, 7] = (-pm + pgv) / p["tch"][sel]
-    out[sel, 8] = (-pgv + p["pref"][sel] - dom / p["r_droop"][sel]) / p["tg"][sel]
-    return out.reshape(-1)
-
-
-def _resolve_yred(sys: SystemModel, condition) -> np.ndarray:
-    """Map a network condition to its reduced admittance matrix.
-
-    ``condition`` is ``"prefault"``, ``"postfault"`` (identical to
-    pre-fault; faults self-clear with no topology change), or
-    ``("fault", bus)``.
-    """
-    if isinstance(condition, str):
-        if condition in ("prefault", "postfault"):
-            return sys.y_red
-        raise ValueError(f"unknown network condition '{condition}'")
-    tag, bus = condition
-    if tag != "fault":
-        raise ValueError(f"unknown network condition {condition!r}")
-    return sys.faulted_y_red(bus)
-
-
-def f_full(x, sys: SystemModel, condition="prefault") -> np.ndarray:
-    """Full nonlinear right-hand side under the given network condition."""
+def f_full(x, sys: SystemModel) -> np.ndarray:
+    """Full nonlinear right-hand side on the pre-fault network."""
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(float)
-    return _rhs(sys, _resolve_yred(sys, condition), x)
+    return _rhs(sys, sys.y_red, x)
 
 
 def apply_fault(sys: SystemModel, bus: int) -> np.ndarray:
     """Reduced admittance matrix with a bolted three-phase fault at ``bus``.
     The post-fault network equals the pre-fault one, so the pre-fault
     equilibrium stays valid after clearing."""
-    return sys.faulted_y_red(bus)
+    if bus is None:
+        raise SystemDataError("a fault needs a fault bus")
+    return build_reduced_admittance(sys.spec, sys.pf, fault_bus=bus)
 
 
 def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution, *, residual_tol: float = 1e-8) -> SystemModel:

@@ -22,10 +22,10 @@ from . import simulate as sim
 from .taylor import (
     ModelSet,
     TaylorModel,
-    compress,
     jacobian,
     taylor_tensors,
 )
+from .tensor_ops import cp_decompose
 
 __all__ = [
     "GridMismatchError",
@@ -159,7 +159,7 @@ def cct_search(
         lo = hi
         hi *= 2
     if hi > max_steps:
-        if lo < max_steps and stable(max_steps):
+        if lo == max_steps or stable(max_steps):
             return CctResult(
                 cct=max_steps * dt, bus=fault_bus, mode=policy.mode,
                 resolution=dt, stable_steps=max_steps, unstable_steps=None,
@@ -253,8 +253,8 @@ def rank_search(
     opts = cp_options or {}
 
     def score(r2, r3):
-        f2 = compress(t2, r2, seed=seed, **opts)
-        f3 = compress(t3, r3, seed=seed + 1, **opts)
+        f2 = cp_decompose(t2, r2, seed=seed, **opts)
+        f3 = cp_decompose(t3, r3, seed=seed + 1, **opts)
         model = TaylorModel(
             load_level=lv, x0=sys.x0.copy(), a1=a1, a2=f2, a3=f3,
             ranks=(r2, r3), fits=(f2.fit, f3.fit),
@@ -314,7 +314,10 @@ def threshold_search(
     ``metric`` selects RMS (default, consistent with the headline error
     numbers) or 'max' for peak instantaneous error.
     """
-    err_fn = rms_error if metric == "rms" else max_abs_error
+    err_fns = {"rms": rms_error, "max": max_abs_error}
+    if metric not in err_fns:
+        raise ValueError(f"unknown error metric '{metric}' (want 'rms' or 'max')")
+    err_fn = err_fns[metric]
     full_policy = replace(policy, mode="force_full")
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     curve = []

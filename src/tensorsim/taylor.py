@@ -13,12 +13,16 @@ evaluation costs O(n^2 + n r) instead of O(n^3 + n^4) for the unfolded
 matrices.  The derivative tensors carry the 1/k! Taylor factors, making
 the truncated series a genuine third-order expansion.
 
-Systems with more than :data:`DENSE_STATE_LIMIT` states skip the raw
-dense tensors entirely: derivative entries are enumerated from the
-machine-pair coupling structure and compressed by an ALS that works on
-the sparse coordinate list.  That path requires every exciter voltage
-loop to be open (ka = 0), since terminal-voltage feedback couples all
-machine triples and destroys the sparsity.
+Both sizes share one ALS loop, :func:`tensorsim.tensor_ops.cp_als`, and
+differ only in its MTTKRP kernel.  Systems with up to
+:data:`DENSE_STATE_LIMIT` states build dense tensors and use the dense
+einsum kernel (:func:`tensorsim.tensor_ops.cp_decompose`).  Larger
+systems skip the raw dense tensors entirely: derivative entries are
+enumerated from the machine-pair coupling structure into a sparse
+coordinate list, and a gather/segment-sum kernel over that list feeds
+the same loop.  That path requires every exciter voltage loop to be
+open (ka = 0), since terminal-voltage feedback couples all machine
+triples and destroys the sparsity.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from . import power_model as pm
 from .tensor_ops import (
     CpFactors,
     Tensor,
+    cp_als,
     cp_decompose,
     cp_exact,
 )
@@ -49,7 +54,6 @@ __all__ = [
     "jacobian",
     "nonlinear_state_columns",
     "taylor_tensors",
-    "compress",
     "build_taylor_model",
     "reduced_rhs",
     "linear_rhs",
@@ -238,12 +242,6 @@ def taylor_tensors(sys: pm.SystemModel, order: int, *, extended: bool = True) ->
     )
 
 
-def compress(t: Tensor, rank: int, **opts) -> CpFactors:
-    """CP-compress a derivative tensor; the achieved fit rides on the
-    returned factors."""
-    return cp_decompose(t, rank, **opts)
-
-
 # ---------------------------------------------------------------------------
 # structured sparse path (n > DENSE_STATE_LIMIT)
 
@@ -320,19 +318,9 @@ def _cp_als_coo(
     restarts: int = 1,
     seed: int = 0,
 ) -> CpFactors:
-    """ALS on a sparse coordinate-format tensor.
-
-    Same update rule and fit definition as the dense
-    :func:`tensorsim.tensor_ops.cp_decompose`; the MTTKRP is a
-    gather/segment-sum over the nonzeros.
-    """
+    """:func:`tensorsim.tensor_ops.cp_als` on a sparse coordinate-format
+    tensor; the MTTKRP is a gather/segment-sum over the nonzeros."""
     d = len(dims)
-    norm_t = float(np.linalg.norm(values))
-    if norm_t == 0.0:
-        from .tensor_ops import _zero_factors
-
-        return _zero_factors(dims, rank)
-
     # sort the nonzeros along every mode once; iterations then only gather
     # factor rows and segment-sum
     mode_plan = []
@@ -343,64 +331,30 @@ def _cp_als_coo(
         sorted_cols = [np.ascontiguousarray(coords[order_k, j]) for j in range(d)]
         mode_plan.append((values[order_k], sorted_cols, starts, ck[starts]))
 
-    rng = np.random.default_rng(seed)
     nnz = values.size
     p = np.empty((nnz, rank))
     g = np.empty((nnz, rank))
-    best = None
-    for _ in range(max(1, restarts)):
-        factors = [rng.uniform(size=(n, rank)) for n in dims]
-        grams = [f.T @ f for f in factors]
-        history = []
-        prev = None
-        converged = False
-        for _ in range(max_iters):
-            m_last = None
-            for k in range(d):
-                vals_k, cols_k, starts, urows = mode_plan[k]
-                p[:] = vals_k[:, None]
-                for j in range(d):
-                    if j != k:
-                        np.take(factors[j], cols_k[j], axis=0, out=g)
-                        p *= g
-                m = np.zeros((dims[k], rank))
-                m[urows] = np.add.reduceat(p, starts, axis=0)
-                v = np.ones((rank, rank))
-                for j in range(d):
-                    if j != k:
-                        v *= grams[j]
-                try:
-                    # keep C-contiguous: the np.take(out=) gathers need it
-                    factors[k] = np.ascontiguousarray(np.linalg.solve(v, m.T).T)
-                except np.linalg.LinAlgError:
-                    factors[k] = m @ np.linalg.pinv(v)
-                grams[k] = factors[k].T @ factors[k]
-                m_last = m
-            inner = float(np.sum(m_last * factors[d - 1]))
-            v = np.ones((rank, rank))
-            for gram in grams:
-                v *= gram
-            resid_sq = max(norm_t**2 - 2.0 * inner + float(np.sum(v)), 0.0)
-            fit = 1.0 - np.sqrt(resid_sq) / norm_t
-            history.append(fit)
-            if prev is not None and abs(fit - prev) < fit_tolerance:
-                converged = True
-                break
-            prev = fit
-        if best is None or history[-1] > best[0]:
-            best = (history[-1], [f.copy() for f in factors], history, converged)
 
-    from .tensor_ops import _normalize_columns
+    def coo_mttkrp(factors, k):
+        vals_k, cols_k, starts, urows = mode_plan[k]
+        p[:] = vals_k[:, None]
+        for j in range(d):
+            if j != k:
+                np.take(factors[j], cols_k[j], axis=0, out=g)
+                np.multiply(p, g, out=p)
+        m = np.zeros((dims[k], rank))
+        m[urows] = np.add.reduceat(p, starts, axis=0)
+        return m
 
-    fit, factors, history, converged = best
-    factors, weights = _normalize_columns(factors)
-    return CpFactors(
-        rank=rank,
-        factors=factors,
-        weights=weights,
-        fit=float(fit),
-        converged=converged,
-        fit_history=np.asarray(history),
+    return cp_als(
+        dims,
+        float(np.linalg.norm(values)),
+        coo_mttkrp,
+        rank,
+        max_iters=max_iters,
+        fit_tolerance=fit_tolerance,
+        restarts=restarts,
+        seed=seed,
     )
 
 
@@ -507,8 +461,8 @@ def build_taylor_model(
             f2, f3 = cp_exact(t2), cp_exact(t3)
         else:
             r2, r3 = ranks
-            f2 = compress(t2, int(r2), seed=seed, **opts)
-            f3 = compress(t3, int(r3), seed=seed + 1, **opts)
+            f2 = cp_decompose(t2, int(r2), seed=seed, **opts)
+            f3 = cp_decompose(t3, int(r3), seed=seed + 1, **opts)
         return TaylorModel(
             load_level=sys.load_level,
             x0=sys.x0.copy(),
@@ -586,16 +540,16 @@ def hybrid_rhs(
     h: HybridModel,
     x: np.ndarray,
     sys: pm.SystemModel,
-    condition="prefault",
     yred: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine full-model rows (nonlinear set) with reduced rows.
 
     Full rows are evaluated by the same kernel as the plain full model, so
-    they match it bit for bit.
+    they match it bit for bit.  ``yred`` defaults to the pre-fault
+    network ``sys.y_red``.
     """
     if yred is None:
-        yred = pm._resolve_yred(sys, condition)
+        yred = sys.y_red
     full = pm._rhs(sys, yred, x)
     if h.all_nonlinear:
         return full
@@ -612,12 +566,6 @@ class ModelSet:
     levels: tuple
     models: dict
     meta: dict = field(default_factory=dict)
-
-    def __getitem__(self, level: float) -> TaylorModel:
-        return self.models[level]
-
-    def nearest_level(self, level: float) -> float:
-        return min(self.levels, key=lambda l: (abs(l - level), l))
 
 
 def build_model_set(

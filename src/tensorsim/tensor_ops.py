@@ -2,7 +2,9 @@
 
 Provides Kronecker and Khatri-Rao products, mode-k tensor-matrix products,
 mode-1 matricization and its inverse, and a CP (canonical polyadic)
-decomposition computed by alternating least squares.
+decomposition computed by alternating least squares.  The one ALS loop,
+:func:`cp_als`, serves the dense kernel here and the sparse coordinate
+kernel in :mod:`tensorsim.taylor` alike.
 
 Storage convention
 ------------------
@@ -31,6 +33,7 @@ __all__ = [
     "matricize_mode1",
     "tensorize",
     "mttkrp",
+    "cp_als",
     "cp_decompose",
     "cp_reconstruct",
     "cp_mode1_matrix",
@@ -108,7 +111,7 @@ class CpFactors:
     ``factors[k]`` has shape ``(n_k, rank)``; ``weights`` holds the
     nonnegative scale of each rank-one component.  Diagnostics from the
     ALS solve (fit, convergence flag, per-iteration fit history) ride
-    along when produced by :func:`cp_decompose`.
+    along when produced by :func:`cp_als`.
     """
 
     rank: int
@@ -270,36 +273,39 @@ def _zero_factors(dims, rank) -> CpFactors:
     )
 
 
-def cp_decompose(
-    t,
+def cp_als(
+    dims,
+    norm_t: float,
+    mttkrp_fn,
     rank: int,
     *,
-    max_iters: int = 500,
-    fit_tolerance: float = 1e-8,
-    restarts: int = 3,
-    seed: int = 0,
+    max_iters: int,
+    fit_tolerance: float,
+    restarts: int,
+    seed: int,
 ) -> CpFactors:
-    """CP decomposition by alternating least squares.
+    """CP alternating least squares over any tensor storage.
 
-    Runs ``restarts`` ALS passes from seeded uniform random initial
-    factors and keeps the best fit, where
-    ``fit = 1 - ||T - That||_F / ||T||_F``.  Non-convergence within
-    ``max_iters`` is not an error; the best iterate is returned with
-    ``converged=False``.  Rank-deficient normal equations fall back to a
-    pseudo-inverse solve.  Deterministic for a fixed seed.
+    The tensor enters only through its ``dims``, its Frobenius norm
+    ``norm_t`` and ``mttkrp_fn(factors, k)``, which returns the
+    ``(dims[k], rank)`` MTTKRP for 0-based mode ``k``.  Runs ``restarts``
+    passes from seeded uniform random initial factors and keeps the best
+    fit, where ``fit = 1 - ||T - That||_F / ||T||_F``.  A pass stops when
+    the fit moves by less than ``fit_tolerance`` (``converged=True``) or
+    after ``max_iters`` iterations, which is not an error.
+    Rank-deficient normal equations fall back to a pseudo-inverse solve.
+    Deterministic for a fixed seed.
     """
-    t = _as_tensor(t)
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    norm_t = t.norm()
     if norm_t == 0.0:
-        return _zero_factors(t.dims, rank)
+        return _zero_factors(dims, rank)
 
     rng = np.random.default_rng(seed)
-    d = t.ndim
+    d = len(dims)
     best = None
     for _ in range(max(1, restarts)):
-        factors = [rng.uniform(size=(n, rank)) for n in t.dims]
+        factors = [rng.uniform(size=(n, rank)) for n in dims]
         grams = [f.T @ f for f in factors]
         history = []
         prev_fit = None
@@ -311,7 +317,7 @@ def cp_decompose(
                 for j in range(d):
                     if j != k:
                         v *= grams[j]
-                m = mttkrp(t, factors, k)
+                m = mttkrp_fn(factors, k)
                 try:
                     factors[k] = np.linalg.solve(v, m.T).T
                 except np.linalg.LinAlgError:
@@ -344,6 +350,31 @@ def cp_decompose(
         fit=float(fit),
         converged=converged,
         fit_history=np.asarray(history),
+    )
+
+
+def cp_decompose(
+    t,
+    rank: int,
+    *,
+    max_iters: int = 500,
+    fit_tolerance: float = 1e-8,
+    restarts: int = 3,
+    seed: int = 0,
+) -> CpFactors:
+    """CP decomposition of a dense tensor by :func:`cp_als`, with the
+    einsum :func:`mttkrp`.  The best fit, the convergence flag and the
+    per-iteration fit history ride on the returned factors."""
+    t = _as_tensor(t)
+    return cp_als(
+        t.dims,
+        t.norm(),
+        lambda factors, k: mttkrp(t, factors, k),
+        rank,
+        max_iters=max_iters,
+        fit_tolerance=fit_tolerance,
+        restarts=restarts,
+        seed=seed,
     )
 
 

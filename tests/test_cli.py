@@ -63,6 +63,10 @@ class TestErrors:
         )
         assert code == 3
 
+    def test_sweep_without_fault_bus_exit_two(self, tmp_path):
+        code = run_cli(["sweep", "--system", "wscc9", *FAST, "--out", tmp_path / "o"])
+        assert code == 2
+
     def test_bad_config_key(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text('{"no_such_flag": 1}')

@@ -199,13 +199,13 @@ class TestKronReduce:
 
 class TestEquilibrium:
     def test_wscc_residual(self, wscc_sys):
-        r = pm.f_full(wscc_sys.x0, wscc_sys, "prefault")
+        r = pm.f_full(wscc_sys.x0, wscc_sys)
         assert np.max(np.abs(r)) < 1e-8
 
     def test_all_levels_residual(self, wscc_spec):
         for lv in np.round(np.arange(0.80, 1.2001, 0.05), 2):
             sys_l = pm.build_system(wscc_spec, float(lv))
-            r = pm.f_full(sys_l.x0, sys_l, "prefault")
+            r = pm.f_full(sys_l.x0, sys_l)
             assert np.max(np.abs(r)) < 1e-8, lv
 
     def test_machine_on_stiff_bus_zero_load(self):
@@ -255,6 +255,10 @@ class TestFullRhs:
     def test_unknown_fault_bus(self, wscc_sys):
         with pytest.raises(pm.SystemDataError):
             pm.apply_fault(wscc_sys, 99)
+
+    def test_missing_fault_bus(self, wscc_sys):
+        with pytest.raises(pm.SystemDataError):
+            pm.apply_fault(wscc_sys, None)
 
     def test_faulted_bus_voltage_near_zero(self, wscc_spec):
         pf = pm.solve_power_flow(wscc_spec, 1.0)

@@ -83,8 +83,11 @@ class TestCct:
     def test_cap_when_always_stable(self, wscc_sys, monkeypatch):
         pol = sim.SwitchPolicy(mode="force_full")
         monkeypatch.setattr(study, "_stable", lambda *a, **k: True)
-        res = study.cct_search(wscc_sys, None, pol, 7, max_duration=0.5)
-        assert res.capped and res.cct == 0.5
+        # 0.8 s and 0.1 s are reached exactly by doubling from 0.1 s
+        for cap in (0.5, 0.8, 0.1):
+            res = study.cct_search(wscc_sys, None, pol, 7, max_duration=cap)
+            assert res.capped and res.cct == cap
+            assert res.stable_steps == round(cap / 0.01) and res.unstable_steps is None
 
 
 class TestRankSweepCore:
@@ -154,6 +157,13 @@ class TestThresholdSearch:
         )
         assert len(res.curve) >= 1
         assert res.metric == "rms"
+
+    def test_unknown_metric_rejected(self, wscc_sys, wscc_model_set):
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=2.0)
+        with pytest.raises(ValueError, match="metric"):
+            study.threshold_search(
+                wscc_sys, wscc_model_set, scn, sim.SwitchPolicy(), metric="peak",
+            )
 
 
 class TestTiming:

@@ -6,7 +6,9 @@ import pytest
 from tensorsim import cases
 from tensorsim import power_model as pm
 from tensorsim import taylor
-from tensorsim.tensor_ops import Tensor, cp_exact, cp_reconstruct, kron, matricize_mode1, mode_k_product
+from tensorsim.tensor_ops import (
+    Tensor, cp_decompose, cp_exact, cp_reconstruct, kron, matricize_mode1, mode_k_product,
+)
 
 
 class TestFdEngine:
@@ -255,7 +257,7 @@ class TestReducedRhs:
 class TestCompress:
     def test_records_fit(self, wscc_sys):
         t2 = taylor.taylor_tensors(wscc_sys, 2)
-        f = taylor.compress(t2, 8, seed=0, max_iters=150)
+        f = cp_decompose(t2, 8, seed=0, max_iters=150)
         assert f.fit is not None and 0 < f.fit < 1
 
     def test_exact_route_full_admissible_rank(self, wscc_sys):
@@ -267,17 +269,17 @@ class TestCompress:
 
     def test_rank_one_on_higher_rank_tensor(self, wscc_sys):
         t2 = taylor.taylor_tensors(wscc_sys, 2)
-        f = taylor.compress(t2, 1, seed=0, max_iters=100)
+        f = cp_decompose(t2, 1, seed=0, max_iters=100)
         assert f.fit < 1.0
 
     def test_zero_tensor(self):
-        f = taylor.compress(Tensor(np.zeros((3, 3, 3))), 2)
+        f = cp_decompose(Tensor(np.zeros((3, 3, 3))), 2)
         assert np.all(f.weights == 0)
 
     def test_rank_monotonicity(self, wscc_sys):
         t2 = taylor.taylor_tensors(wscc_sys, 2)
         fits = [
-            taylor.compress(t2, r, seed=0, restarts=3, max_iters=200).fit
+            cp_decompose(t2, r, seed=0, restarts=3, max_iters=200).fit
             for r in range(1, 9)
         ]
         assert all(b >= a - 0.05 for a, b in zip(fits, fits[1:]))
@@ -389,6 +391,21 @@ class TestStructuredPath:
         rel = np.linalg.norm(rec - dense) / np.linalg.norm(dense)
         assert abs((1.0 - rel) - f.fit) < 1e-6
         assert np.all(np.diff(f.fit_history) > -1e-10)
+
+    def test_dense_and_coo_kernels_agree(self, wscc_sys):
+        # one ALS loop, two MTTKRP kernels: same seed and options must give
+        # the same iterates whichever storage the tensor arrives in
+        t2 = taylor.taylor_tensors(wscc_sys, 2)
+        coords = np.argwhere(t2.array != 0.0)
+        values = t2.array[tuple(coords.T)]
+        opts = dict(seed=3, max_iters=20, fit_tolerance=1e-12, restarts=2)
+        dense = cp_decompose(t2, 6, **opts)
+        coo = taylor._cp_als_coo(t2.dims, coords, values, 6, **opts)
+        assert len(dense.fit_history) == len(coo.fit_history) == 20
+        assert np.max(np.abs(dense.fit_history - coo.fit_history)) < 1e-9
+        assert np.max(np.abs(dense.weights - coo.weights)) < 1e-9
+        for a, b in zip(dense.factors, coo.factors):
+            assert np.max(np.abs(a - b)) < 1e-9
 
     def test_full_ranks_rejected_above_dense_limit(self, wscc_sys):
         class FakeSys:
