@@ -271,7 +271,9 @@ def _cmd_build(args, outdir, cfg_hash):
         command="build",
         levels=list(levels),
         ranks=list(ms.models[levels[0]].ranks),
-        fits={str(lv): list(ms.models[lv].fits) for lv in levels},
+        fits=ms.meta["fits"],
+        converged=ms.meta["converged"],
+        iterations=ms.meta["iterations"],
         models_file=model_path.name,
         **extras,
     )

@@ -161,7 +161,7 @@ def cct_search(
     if hi > max_steps:
         if lo == max_steps or stable(max_steps):
             return CctResult(
-                cct=max_steps * dt, bus=fault_bus, mode=policy.mode,
+                cct=round(max_steps * dt, 12), bus=fault_bus, mode=policy.mode,
                 resolution=dt, stable_steps=max_steps, unstable_steps=None,
                 capped=True, runs=runs,
             )

@@ -16,13 +16,17 @@ the truncated series a genuine third-order expansion.
 Both sizes share one ALS loop, :func:`tensorsim.tensor_ops.cp_als`, and
 differ only in its MTTKRP kernel.  Systems with up to
 :data:`DENSE_STATE_LIMIT` states build dense tensors and use the dense
-einsum kernel (:func:`tensorsim.tensor_ops.cp_decompose`).  Larger
+kernel of :func:`tensorsim.tensor_ops.cp_decompose`, an einsum over the
+tensor's nonzero slices (only the nonlinear state columns and the rows
+they reach carry entries).  Larger
 systems skip the raw dense tensors entirely: derivative entries are
 enumerated from the machine-pair coupling structure into a sparse
 coordinate list, and a gather/segment-sum kernel over that list feeds
 the same loop.  That path requires every exciter voltage loop to be
 open (ka = 0), since terminal-voltage feedback couples all machine
-triples and destroys the sparsity.
+triples and destroys the sparsity.  A model set records the ALS fit,
+convergence flag and iteration count of each level and order in its
+metadata.
 """
 
 from __future__ import annotations
@@ -594,6 +598,14 @@ def build_model_set(
         "ranks": list(models[levels[0]].ranks),
         "seed": seed,
         "fits": {str(lv): list(models[lv].fits) for lv in levels},
+        "converged": {
+            str(lv): [bool(f.converged) for f in (models[lv].a2, models[lv].a3)]
+            for lv in levels
+        },
+        "iterations": {
+            str(lv): [len(f.fit_history) for f in (models[lv].a2, models[lv].a3)]
+            for lv in levels
+        },
     }
     return ModelSet(levels=tuple(levels), models=models, meta=meta)
 

@@ -4,7 +4,9 @@ Provides Kronecker and Khatri-Rao products, mode-k tensor-matrix products,
 mode-1 matricization and its inverse, and a CP (canonical polyadic)
 decomposition computed by alternating least squares.  The one ALS loop,
 :func:`cp_als`, serves the dense kernel here and the sparse coordinate
-kernel in :mod:`tensorsim.taylor` alike.
+kernel in :mod:`tensorsim.taylor` alike.  The dense kernel, inside
+:func:`cp_decompose`, contracts only the tensor's nonzero slices, since
+a zero slice adds nothing to an MTTKRP.
 
 Storage convention
 ------------------
@@ -32,7 +34,6 @@ __all__ = [
     "mode_k_product",
     "matricize_mode1",
     "tensorize",
-    "mttkrp",
     "cp_als",
     "cp_decompose",
     "cp_reconstruct",
@@ -216,25 +217,6 @@ def tensorize(m, dims) -> Tensor:
     return Tensor(m.reshape(dims, order="F"))
 
 
-def mttkrp(t, factors, mode: int) -> np.ndarray:
-    """Matricized tensor times Khatri-Rao product of the other factors.
-
-    ``mode`` is 0-based here (internal ALS convention).
-    """
-    t = _as_tensor(t)
-    d = t.ndim
-    letters = string.ascii_lowercase[:d]
-    args = [t.array]
-    terms = [letters]
-    for j in range(d):
-        if j == mode:
-            continue
-        args.append(factors[j])
-        terms.append(letters[j] + "z")
-    expr = ",".join(terms) + "->" + letters[mode] + "z"
-    return np.einsum(expr, *args, optimize=True)
-
-
 def _normalize_columns(factors):
     """Pull column norms out of the factors into a weights vector.
 
@@ -362,14 +344,47 @@ def cp_decompose(
     restarts: int = 3,
     seed: int = 0,
 ) -> CpFactors:
-    """CP decomposition of a dense tensor by :func:`cp_als`, with the
-    einsum :func:`mttkrp`.  The best fit, the convergence flag and the
-    per-iteration fit history ride on the returned factors."""
+    """CP decomposition of a dense tensor by :func:`cp_als`.  The best
+    fit, the convergence flag and the per-iteration fit history ride on
+    the returned factors.
+
+    The MTTKRP runs on the tensor's support only: the support of mode
+    ``k`` is the set of indices whose slice holds a nonzero entry, and a
+    zero slice adds nothing to any MTTKRP.  The einsum contracts the
+    sub-tensor on the supports against the matching factor rows, with a
+    contraction path planned once per mode, and the result is scattered
+    back into the full ``(dims[k], rank)`` row space; rows off the
+    support stay exactly zero.
+    """
     t = _as_tensor(t)
+    a = t.array
+    d = t.ndim
+    support = [
+        np.flatnonzero(np.any(a != 0, axis=tuple(j for j in range(d) if j != k)))
+        for k in range(d)
+    ]
+    core = a[np.ix_(*support)]
+    letters = string.ascii_lowercase[:d]
+    plans = []
+    for k in range(d):
+        others = [j for j in range(d) if j != k]
+        expr = ",".join([letters] + [letters[j] + "z" for j in others]) + "->" + letters[k] + "z"
+        shapes = [np.empty((support[j].size, rank)) for j in others]
+        path = np.einsum_path(expr, core, *shapes, optimize=True)[0]
+        plans.append((expr, others, path))
+
+    def support_mttkrp(factors, k):
+        expr, others, path = plans[k]
+        m = np.zeros((t.dims[k], rank))
+        m[support[k]] = np.einsum(
+            expr, core, *(factors[j][support[j]] for j in others), optimize=path
+        )
+        return m
+
     return cp_als(
         t.dims,
         t.norm(),
-        lambda factors, k: mttkrp(t, factors, k),
+        support_mttkrp,
         rank,
         max_iters=max_iters,
         fit_tolerance=fit_tolerance,
@@ -398,7 +413,8 @@ def cp_exact(t) -> CpFactors:
 
     Column ``c`` of the leading factor is the tensor fiber selected by the
     trailing-mode one-hot columns; reconstruction is exact to rounding.
-    Used as the deterministic full-rank route in oracle comparisons.
+    Used as the deterministic full-rank route in oracle comparisons.  No
+    ALS iteration runs, so the fit history is empty.
     """
     t = _as_tensor(t)
     if t.ndim < 2:
@@ -411,7 +427,10 @@ def cp_exact(t) -> CpFactors:
     for k, n in enumerate(rest):
         factors.append(np.eye(n)[:, idx[k]])
     factors, weights = _normalize_columns(factors)
-    return CpFactors(rank=rank, factors=factors, weights=weights, fit=1.0, converged=True)
+    return CpFactors(
+        rank=rank, factors=factors, weights=weights, fit=1.0, converged=True,
+        fit_history=np.empty(0),
+    )
 
 
 def dump_tensor(t, path) -> None:

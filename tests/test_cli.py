@@ -7,6 +7,7 @@ import pytest
 
 from tensorsim import cases, cli
 from tensorsim import taylor
+from tensorsim.tensor_ops import cp_decompose
 
 
 FAST = ["--levels", "1.0", "--ranks", "6,6", "--dt", "0.01"]
@@ -125,6 +126,15 @@ class TestBuildAndConsumers:
         assert report["ranks"] == [6, 6]
         ms = taylor.load_model_set(out / "models.npz")
         assert ms.levels == (1.0,)
+        # ALS convergence per level and order, in both artifacts; the CLI
+        # build runs cp_decompose at its default iteration cap
+        cap = cp_decompose.__kwdefaults__["max_iters"]
+        for meta in (report, ms.meta):
+            assert meta["fits"]["1.0"] == report["fits"]["1.0"]
+            converged, iters = meta["converged"]["1.0"], meta["iterations"]["1.0"]
+            assert len(converged) == len(iters) == 2
+            assert all(isinstance(c, bool) for c in converged)
+            assert all(isinstance(i, int) and 1 <= i <= cap for i in iters)
         run = tmp_path / "r"
         code = run_cli(
             ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -83,8 +83,9 @@ class TestCct:
     def test_cap_when_always_stable(self, wscc_sys, monkeypatch):
         pol = sim.SwitchPolicy(mode="force_full")
         monkeypatch.setattr(study, "_stable", lambda *a, **k: True)
-        # 0.8 s and 0.1 s are reached exactly by doubling from 0.1 s
-        for cap in (0.5, 0.8, 0.1):
+        # 0.8 s and 0.1 s are reached exactly by doubling from 0.1 s; 70
+        # steps of 0.01 s is 0.7000000000000001 s before rounding
+        for cap in (0.5, 0.8, 0.1, 0.7):
             res = study.cct_search(wscc_sys, None, pol, 7, max_duration=cap)
             assert res.capped and res.cct == cap
             assert res.stable_steps == round(cap / 0.01) and res.unstable_steps is None

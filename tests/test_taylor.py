@@ -7,7 +7,8 @@ from tensorsim import cases
 from tensorsim import power_model as pm
 from tensorsim import taylor
 from tensorsim.tensor_ops import (
-    Tensor, cp_decompose, cp_exact, cp_reconstruct, kron, matricize_mode1, mode_k_product,
+    Tensor, cp_als, cp_decompose, cp_exact, cp_reconstruct, kron, matricize_mode1,
+    mode_k_product,
 )
 
 
@@ -361,6 +362,33 @@ class TestModelSet:
             # evaluation caches rebuilt identically
             dx = np.linspace(-0.01, 0.01, a.n)
             assert np.array_equal(taylor.reduced_rhs(a, dx), taylor.reduced_rhs(b, dx))
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("order, rank", [(2, 30), (3, 36)])
+    def test_support_kernel_matches_full_contraction(self, full_rank_model, order, rank):
+        # cp_decompose contracts only the nonzero slices; through the same
+        # ALS loop, a plain MTTKRP over every entry must give the same iterates
+        t = full_rank_model.a2_raw if order == 2 else full_rank_model.a3_raw
+        a = t.array
+        d = a.ndim
+        assert not np.all(np.any(a != 0, axis=tuple(range(1, d))))
+        letters = "abcd"[:d]
+
+        def full_mttkrp(factors, k):
+            others = [j for j in range(d) if j != k]
+            expr = ",".join([letters] + [letters[j] + "z" for j in others])
+            return np.einsum(expr + "->" + letters[k] + "z", a,
+                             *(factors[j] for j in others), optimize=True)
+
+        opts = dict(max_iters=20, fit_tolerance=1e-12, restarts=2, seed=3)
+        got = cp_decompose(t, rank, **opts)
+        ref = cp_als(t.dims, t.norm(), full_mttkrp, rank, **opts)
+        assert len(got.fit_history) == len(ref.fit_history) == 20
+        assert np.max(np.abs(got.fit_history - ref.fit_history)) < 1e-9
+        assert np.max(np.abs(got.weights - ref.weights)) < 1e-9
+        for x, y in zip(got.factors, ref.factors):
+            assert np.max(np.abs(x - y)) < 1e-9
 
 
 class TestStructuredPath:

@@ -211,6 +211,23 @@ class TestCpDecompose:
         with pytest.raises(ValueError):
             cp_decompose(Tensor(np.ones((2, 2))), 0)
 
+    def test_planted_rank_three_with_zero_slices(self):
+        # the kernel contracts only the nonzero slices; rows on the zero
+        # slices must come back exactly zero
+        rng = np.random.default_rng(16)
+        dims = (9, 8, 7)
+        zero = ([0, 4, 7], [2, 3], [1, 6])
+        facs = []
+        for n, z in zip(dims, zero):
+            f = rng.uniform(0.1, 1.0, size=(n, 3))
+            f[z] = 0.0
+            facs.append(f)
+        t = Tensor(np.einsum("ir,jr,kr->ijk", *facs))
+        f = cp_decompose(t, 3, seed=0, max_iters=2000, fit_tolerance=1e-14)
+        assert f.fit > 1 - 1e-6
+        for mat, z in zip(f.factors, zero):
+            assert np.all(mat[z] == 0.0)
+
 
 class TestCpReconstructAndMode1:
     def test_single_rank_one_factor(self):
@@ -282,6 +299,7 @@ class TestCpExact:
         t = Tensor(rng.standard_normal(dims))
         f = cp_exact(t)
         assert f.rank == int(np.prod(dims[1:]))
+        assert f.converged and f.fit_history.size == 0  # no ALS iterations
         assert np.max(np.abs(cp_reconstruct(f).array - t.array)) < 1e-13
 
 
