@@ -49,7 +49,8 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    """The argument parser, and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
         prog="tensorsim",
         description="Adaptive reduced-order power system transient simulation",
@@ -121,10 +122,14 @@ def _parser() -> argparse.ArgumentParser:
                 scenario=True, models=True)
     cp.add_argument("--modes", default="force_full,force_taylor")
     cp.add_argument("--repetitions", type=int, default=5)
-    return p
+    return p, sub.choices
 
 
-def _apply_config_file(args, argv):
+def _apply_config_file(args, argv, command_parser):
+    """Fill flags not given on the command line from the JSON config file.
+    ``str(value)`` goes through the flag's type, then its choices apply;
+    untyped flags (``levels``, ...) take the JSON value as it is, and
+    ``null`` leaves a flag whose default is None unset."""
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
@@ -134,20 +139,29 @@ def _apply_config_file(args, argv):
         raise ConfigError(f"{path}: bad config JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    flags = {a.dest: a for a in command_parser._actions if a.dest not in ("help", "config")}
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if str(a).startswith("--")}
     for key, val in raw.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(attr)
+        if action is None:
             raise ConfigError(f"{path}: unknown config key '{key}'")
-        if attr not in explicit:
-            setattr(args, attr, val)
+        if attr in explicit or (val is None and action.default is None):
+            continue
+        if action.type is not None:
+            try:
+                val = action.type(str(val))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad value {val!r} for config key '{key}'") from exc
+        if action.choices is not None and val not in action.choices:
+            raise ConfigError(f"{path}: config key '{key}' must be one of {list(action.choices)}")
+        setattr(args, attr, val)
     return args
 
 
 def _resolved_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "config")}
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in ("out", "config")}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -211,7 +225,7 @@ def _scenario(args) -> sim.Scenario:
     )
 
 
-def _model_set(args, spec, sys, cfg_hash):
+def _model_set(args, sys):
     """Load a prebuilt model set or build one in process."""
     if getattr(args, "models", None):
         return ty.load_model_set(args.models)
@@ -288,7 +302,7 @@ def _cmd_simulate(args, outdir, cfg_hash):
     sys_m = pm.build_system(spec, scn.load_level)
     ms = None
     if policy.mode != "force_full":
-        ms = _model_set(args, spec, sys_m if scn.load_level == 1.0 else pm.build_system(spec, 1.0), cfg_hash)
+        ms = _model_set(args, sys_m)
     traj = sim.run_adaptive(sys_m, ms, scn, policy, args.dt)
     meta = _meta(cfg_hash, args.seed)
     sim.export_trajectory_csv(traj, sys_m, outdir / "trajectory.csv", meta)
@@ -316,7 +330,7 @@ def _cmd_cct(args, outdir, cfg_hash):
     sys_m = pm.build_system(spec, args.load_level)
     ms = None
     if policy.mode != "force_full":
-        ms = _model_set(args, spec, sys_m, cfg_hash)
+        ms = _model_set(args, sys_m)
     t_end = args.t_end if args.t_end is not None else args.horizon
     res = st.cct_search(sys_m, ms, policy, args.fault_bus, dt=args.dt, t_end=t_end)
     report = dict(_meta(cfg_hash, args.seed))
@@ -361,7 +375,7 @@ def _cmd_threshold_search(args, outdir, cfg_hash):
     scn = _scenario(args)
     policy = _policy(args)
     sys_m = pm.build_system(spec, scn.load_level)
-    ms = _model_set(args, spec, sys_m, cfg_hash)
+    ms = _model_set(args, sys_m)
     res = st.threshold_search(
         sys_m, ms, scn, policy,
         max_deg=args.max_threshold,
@@ -389,7 +403,7 @@ def _cmd_sweep(args, outdir, cfg_hash):
         raise ConfigError(f"bad --sweep-levels '{args.sweep_levels}'") from exc
     levels = tuple(np.round(np.arange(lo, hi + step / 2, step), 10))
     sys_m = pm.build_system(spec, 1.0)
-    ms = _model_set(args, spec, sys_m, cfg_hash)
+    ms = _model_set(args, sys_m)
     t_end = args.t_end if args.t_end is not None else args.horizon
     rep = st.load_sweep(sys_m, ms, policy, args.fault_bus, levels, dt=args.dt, t_end=t_end)
     rep.config.update(_meta(cfg_hash, args.seed))
@@ -409,7 +423,7 @@ def _cmd_compare(args, outdir, cfg_hash):
     if args.repetitions < 5:
         raise ConfigError("--repetitions must be >= 5 for a stable median")
     sys_m = pm.build_system(spec, scn.load_level)
-    ms = _model_set(args, spec, sys_m, cfg_hash) if set(modes) != {"force_full"} else None
+    ms = _model_set(args, sys_m) if set(modes) != {"force_full"} else None
     rows = st.timing_compare(sys_m, ms, scn, policy, modes, repetitions=args.repetitions, dt=args.dt)
     n = sys_m.n_states
     flops = dict(_meta(cfg_hash, args.seed))
@@ -452,14 +466,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser()
+    parser, commands = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help: pass through
         return int(exc.code or 0)
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(args, argv, commands[args.command])
         cfg = _resolved_config(args)
         cfg_hash = _config_hash(cfg)
         outdir = Path(args.out)

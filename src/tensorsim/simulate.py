@@ -11,6 +11,10 @@ Load tracking: when the scenario's load level differs from the active
 representative model level by more than the configured fraction, the
 Taylor model is swapped for the nearest representative level in the
 direction of the change before the run starts.
+
+:func:`integrate` and :func:`run_adaptive` share one RK4 loop,
+:func:`_march`; ``run_adaptive`` passes it a per-step closure that picks
+the model and logs the switches, and its instability test as the stop.
 """
 
 from __future__ import annotations
@@ -113,31 +117,39 @@ def rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
-    """Classical fixed-step RK4 with every step recorded.
+def _march(x, steps: int, dt: float, step_rhs, stop=None):
+    """RK4 from ``x``; step ``k`` uses the right-hand side ``step_rhs(k, x)``.
 
-    A non-finite state truncates the trajectory and flags it rather than
-    raising: blow-ups are a legitimate outcome (they signal instability).
+    A non-finite state ends the run unrecorded rather than raising:
+    blow-ups are a legitimate outcome (they signal instability).
+    ``stop(x)``, tested after each recorded step, ends the run too.
+    Returns ``(states, blowup_step, stop_step)``, None for an unused end.
     """
+    x = np.array(x, dtype=float)
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = rk4_step(step_rhs(k, x), x, dt)
+            if not np.all(np.isfinite(x)):
+                return states[: k + 1], k + 1, None
+            states[k + 1] = x
+            if stop is not None and stop(x):
+                return states[: k + 2], None, k + 1
+    return states, None, None
+
+
+def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
+    """Classical fixed-step RK4 with every step recorded; a blow-up
+    truncates the trajectory and flags it (see :func:`_march`)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     t0, t1 = t_span
     steps = int(round((t1 - t0) / dt))
-    x = np.array(x_init, dtype=float)
-    states = np.empty((steps + 1, x.size))
-    states[0] = x
-    blowup = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x = rk4_step(rhs, x, dt)
-            if not np.all(np.isfinite(x)):
-                blowup = t0 + (k + 1) * dt
-                states = states[: k + 1]
-                break
-            states[k + 1] = x
-    times = t0 + np.arange(states.shape[0]) * dt
+    states, k_blowup, _ = _march(x_init, steps, dt, lambda k, x: rhs)
+    blowup = None if k_blowup is None else t0 + k_blowup * dt
     return Trajectory(
-        times=times,
+        times=t0 + np.arange(states.shape[0]) * dt,
         states=states,
         completed=blowup is None,
         blowup_time=blowup,
@@ -268,17 +280,16 @@ def run_adaptive(
     ref_pos = sys.machine_pos(ref_id)
     study_pos = sys.study_idx
 
-    yred_pre = sys.y_red
     yred_fault = pm.apply_fault(sys, scenario.fault_bus) if k_clear > k_on else None
 
     def rhs_pre(x):
-        return pm._rhs(sys, yred_pre, x)
+        return pm._rhs(sys, sys.y_red, x)
 
     def rhs_fault(x):
         return pm._rhs(sys, yred_fault, x)
 
     def rhs_hybrid(x):
-        return hybrid_rhs(hybrid, x, sys, yred=yred_pre)
+        return hybrid_rhs(hybrid, x, sys)
 
     def rhs_taylor(x):
         return reduced_rhs(model, x - model.x0)
@@ -293,77 +304,58 @@ def run_adaptive(
         "force_linear": ("linear", rhs_linear),
     }
 
-    n = sys.n_states
-    states = np.empty((k_end + 1, n))
-    x = sys.x0.copy()
-    states[0] = x
-    x_base = sys.x0
     modes = []
     current = "full"
     taylor_locked = False
-    blowup = None
-    unstable_at = None
-    stop_rad = (
-        math.radians(instability_stop_deg) if instability_stop_deg is not None else None
-    )
-    d_idx = study_pos * pm.N_STATES
-    ref_d = ref_pos * pm.N_STATES
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_end):
-            t = k * dt
-            if k < k_on:
-                mode_now, rhs = "full", rhs_pre
-                reason = None
-            elif k < k_clear:
-                mode_now, rhs = "full", rhs_fault
-                reason = None
-            elif policy.mode == "adaptive":
-                if not taylor_locked:
-                    dev = max_rotor_deviation(x, x_base, ref_pos, study_pos)
-                    if dev <= policy.angle_threshold_deg:
-                        taylor_locked = True
-                if taylor_locked:
-                    mode_now, rhs = "taylor", rhs_taylor
-                    reason = (
-                        "deviation_below_threshold"
-                        if current == "hybrid"
-                        else "post_fault_small_disturbance"
-                    )
-                else:
-                    mode_now, rhs = "hybrid", rhs_hybrid
-                    reason = "post_fault_large_disturbance"
+    def step_rhs(k, x):
+        nonlocal current, taylor_locked
+        if k < k_on:
+            mode_now, rhs, reason = "full", rhs_pre, None
+        elif k < k_clear:
+            mode_now, rhs, reason = "full", rhs_fault, None
+        elif policy.mode == "adaptive":
+            if not taylor_locked:
+                dev = max_rotor_deviation(x, sys.x0, ref_pos, study_pos)
+                if dev <= policy.angle_threshold_deg:
+                    taylor_locked = True
+            if taylor_locked:
+                mode_now, rhs = "taylor", rhs_taylor
+                reason = ("deviation_below_threshold" if current == "hybrid"
+                          else "post_fault_small_disturbance")
             else:
-                mode_now, rhs = forced_post[policy.mode]
-                reason = "post_fault_forced"
-            if mode_now != current:
-                log.append(
-                    SwitchEvent(t, current, mode_now, reason or "switch",
-                                model.load_level if model is not None else sys.load_level)
-                )
-                current = mode_now
-            modes.append(mode_now)
-            x = rk4_step(rhs, x, dt)
-            if not np.all(np.isfinite(x)):
-                blowup = (k + 1) * dt
-                states = states[: k + 1]
-                break
-            states[k + 1] = x
-            if stop_rad is not None and unstable_at is None and d_idx.size:
-                if np.max(np.abs(x[d_idx] - x[ref_d])) > stop_rad:
-                    unstable_at = (k + 1) * dt
-                    states = states[: k + 2]
-                    break
+                mode_now, rhs = "hybrid", rhs_hybrid
+                reason = "post_fault_large_disturbance"
+        else:
+            mode_now, rhs = forced_post[policy.mode]
+            reason = "post_fault_forced"
+        if mode_now != current:
+            log.append(
+                SwitchEvent(k * dt, current, mode_now, reason or "switch",
+                            model.load_level if model is not None else sys.load_level)
+            )
+            current = mode_now
+        modes.append(mode_now)
+        return rhs
 
-    times = np.arange(states.shape[0]) * dt
+    stop = None
+    if instability_stop_deg is not None and study_pos.size:
+        stop_rad = math.radians(instability_stop_deg)
+        d_idx = study_pos * pm.N_STATES
+        ref_d = ref_pos * pm.N_STATES
+
+        def stop(x):
+            return np.max(np.abs(x[d_idx] - x[ref_d])) > stop_rad
+
+    states, k_blowup, k_stop = _march(sys.x0, k_end, dt, step_rhs, stop)
     return Trajectory(
-        times=times,
+        times=np.arange(states.shape[0]) * dt,
         states=states,
         switch_log=log,
         modes=modes[: states.shape[0] - 1],
-        completed=blowup is None and unstable_at is None,
-        blowup_time=blowup,
-        unstable_at=unstable_at,
+        completed=k_blowup is None and k_stop is None,
+        blowup_time=None if k_blowup is None else k_blowup * dt,
+        unstable_at=None if k_stop is None else k_stop * dt,
     )
 
 

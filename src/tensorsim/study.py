@@ -21,11 +21,10 @@ from . import power_model as pm
 from . import simulate as sim
 from .taylor import (
     ModelSet,
-    TaylorModel,
+    compress_taylor_terms,
     jacobian,
     taylor_tensors,
 )
-from .tensor_ops import cp_decompose
 
 __all__ = [
     "GridMismatchError",
@@ -47,6 +46,7 @@ __all__ = [
     "count_flops_reduced",
     "count_flops_linear",
     "count_flops_unfolded",
+    "count_flops_hybrid",
 ]
 
 
@@ -247,24 +247,16 @@ def rank_search(
     full_policy = replace(policy, mode="force_full")
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     lv = sys.load_level
-    t2 = taylor_tensors(sys, 2)
-    t3 = taylor_tensors(sys, 3)
-    a1 = jacobian(sys)
-    opts = cp_options or {}
+    terms = (jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3))
 
     def score(r2, r3):
-        f2 = cp_decompose(t2, r2, seed=seed, **opts)
-        f3 = cp_decompose(t3, r3, seed=seed + 1, **opts)
-        model = TaylorModel(
-            load_level=lv, x0=sys.x0.copy(), a1=a1, a2=f2, a3=f3,
-            ranks=(r2, r3), fits=(f2.fit, f3.fit),
-        )
+        model = compress_taylor_terms(sys, terms, (r2, r3), seed=seed, cp_options=cp_options)
         ms = ModelSet(levels=(lv,), models={lv: model})
         traj = sim.run_adaptive(sys, ms, scenario, policy, dt)
         if not traj.completed:
-            return float("inf"), (f2.fit, f3.fit)
+            return float("inf"), model.fits
         err = rms_error(traj, baseline, sys)
-        return max(err.values()), (f2.fit, f3.fit)
+        return max(err.values()), model.fits
 
     chosen, curve, stopped = _rank_sweep(
         score, start_rank, improvement_tol_deg, r3_offsets, max_rank

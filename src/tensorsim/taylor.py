@@ -13,20 +13,24 @@ evaluation costs O(n^2 + n r) instead of O(n^3 + n^4) for the unfolded
 matrices.  The derivative tensors carry the 1/k! Taylor factors, making
 the truncated series a genuine third-order expansion.
 
-Both sizes share one ALS loop, :func:`tensorsim.tensor_ops.cp_als`, and
-differ only in its MTTKRP kernel.  Systems with up to
-:data:`DENSE_STATE_LIMIT` states build dense tensors and use the dense
-kernel of :func:`tensorsim.tensor_ops.cp_decompose`, an einsum over the
-tensor's nonzero slices (only the nonlinear state columns and the rows
-they reach carry entries).  Larger
-systems skip the raw dense tensors entirely: derivative entries are
-enumerated from the machine-pair coupling structure into a sparse
-coordinate list, and a gather/segment-sum kernel over that list feeds
-the same loop.  That path requires every exciter voltage loop to be
+One assembler turns (column multiset, rows) pairs into coordinate-format
+derivative entries.  Up to :data:`DENSE_STATE_LIMIT` states it gets every
+multiset of the nonlinear columns, runs in extended precision with a
+Richardson pass at both orders, and the entries fill dense tensors.
+Larger systems skip the raw dense tensors: the multisets come from the
+machine-pair coupling structure, the stencil runs in double precision
+with the Richardson pass at order 2 only, and the entries stay a sparse
+coordinate list.  That path requires every exciter voltage loop to be
 open (ka = 0), since terminal-voltage feedback couples all machine
-triples and destroys the sparsity.  A model set records the ALS fit,
-convergence flag and iteration count of each level and order in its
-metadata.
+triples and destroys the sparsity.
+
+:func:`compress_taylor_terms` is the one place terms become a
+:class:`TaylorModel`.  Both sizes share one ALS loop,
+:func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
+kernel: an einsum over a dense tensor's nonzero slices
+(:func:`tensorsim.tensor_ops.cp_decompose`) or a gather/segment-sum over
+the coordinate list.  A model set records the ALS fit, convergence flag
+and iteration count of each level and order in its metadata.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "nonlinear_state_columns",
     "taylor_tensors",
     "build_taylor_model",
+    "compress_taylor_terms",
     "reduced_rhs",
     "linear_rhs",
     "select_boundary_generators",
@@ -103,20 +108,6 @@ def fd_jacobian(f_batch, x0: np.ndarray, *, step: float = JAC_STEP) -> np.ndarra
     return jac
 
 
-def fd_jacobian_refined(f_batch, x0: np.ndarray, *, step: float = 1e-4) -> np.ndarray:
-    """Richardson-extrapolated central differences, (4 J(h/2) - J(h)) / 3.
-
-    Kills the h^2 truncation term while the larger base step keeps
-    cancellation noise near machine precision; the Jacobian entries come
-    out roughly 1e4 times more accurate than the plain 1e-6 stencil,
-    which is what lets fourth-order Taylor remainders stay visible above
-    the noise floor in small-deviation probes.
-    """
-    j_h = fd_jacobian(f_batch, x0, step=step)
-    j_h2 = fd_jacobian(f_batch, x0, step=step / 2.0)
-    return (4.0 * j_h2 - j_h) / 3.0
-
-
 def _multiset_values(f_batch, x0, h, tuples, order, chunk=4096):
     """Symmetric derivative values for column multisets.
 
@@ -148,43 +139,47 @@ def _multiset_values(f_batch, x0, h, tuples, order, chunk=4096):
     return out
 
 
-def _refined_multiset_values(f_batch, x0, h, tuples, order):
-    """(4 D(h/2) - D(h)) / 3: cancels the h^2 stencil truncation term."""
-    v_h = _multiset_values(f_batch, x0, h, tuples, order)
-    v_h2 = _multiset_values(f_batch, x0, h / 2.0, tuples, order)
-    return (4.0 * v_h2 - v_h) / 3.0
+def _derivative_coo(f_batch, x0, order: int, entries, *, refine: bool):
+    """Coordinate-format (coords, values) of the symmetrized derivative
+    tensor of the given order, scaled by 1/order!.  ``entries`` pairs each
+    column multiset with the rows to keep; its one stencil value serves
+    every permutation.  Steps are ``step * max(1, |x0_j|)`` with the
+    order's step; ``refine`` adds the Richardson pass."""
+    step = QUAD_STEP if order == 2 else CUBIC_STEP
+    h = step * np.maximum(1.0, np.abs(x0))
+    tuples = [tup for tup, _ in entries]
+    vals = _multiset_values(f_batch, x0, h, tuples, order)
+    if refine:  # (4 D(h/2) - D(h)) / 3 cancels the h^2 truncation term
+        vals = (4.0 * _multiset_values(f_batch, x0, h / 2.0, tuples, order) - vals) / 3.0
+    coord_parts = []
+    value_parts = []
+    for (tup, rows), v in zip(entries, vals):
+        vr = v[rows]
+        for perm in set(itertools.permutations(tup)):
+            block = np.empty((rows.size, order + 1), dtype=np.int64)
+            block[:, 0] = rows
+            block[:, 1:] = perm
+            coord_parts.append(block)
+            value_parts.append(vr)
+    return np.concatenate(coord_parts, axis=0), np.concatenate(value_parts)
 
 
-def fd_derivative_tensor(
-    f_batch,
-    x0: np.ndarray,
-    order: int,
-    *,
-    columns=None,
-    base_step: float | None = None,
-    refine: bool = False,
-) -> Tensor:
+def fd_derivative_tensor(f_batch, x0: np.ndarray, order: int, *, columns=None,
+                         refine: bool = False) -> Tensor:
     """Dense symmetrized derivative tensor of the given order, scaled by
-    1/order!.
-
-    ``columns`` limits the probed coordinates (all other slices are
-    structurally zero); per-coordinate steps are
-    ``base_step * max(1, |x0_j|)``.
-    """
+    1/order!.  ``columns`` limits the probed coordinates (all other slices
+    are structurally zero); the dtype of ``x0`` flows through the stencil."""
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
-    x0 = np.asarray(x0)  # dtype flows through probes and stencil sums
+    x0 = np.asarray(x0)
     n = x0.size
     cols = np.arange(n) if columns is None else np.asarray(sorted(columns), dtype=int)
-    step = base_step if base_step is not None else (QUAD_STEP if order == 2 else CUBIC_STEP)
-    h = step * np.maximum(1.0, np.abs(x0))
-    tuples = list(itertools.combinations_with_replacement(cols.tolist(), order))
-    values = _refined_multiset_values if refine else _multiset_values
-    vals = values(f_batch, x0, h, tuples, order)
+    rows = np.arange(n)
+    entries = [(tup, rows) for tup in
+               itertools.combinations_with_replacement(cols.tolist(), order)]
+    coords, values = _derivative_coo(f_batch, x0, order, entries, refine=refine)
     t = np.zeros((n,) * (order + 1))
-    for tup, v in zip(tuples, vals):
-        for perm in set(itertools.permutations(tup)):
-            t[(slice(None),) + perm] = v
+    t[tuple(coords.T)] = values
     return Tensor(t)
 
 
@@ -193,21 +188,24 @@ def fd_derivative_tensor(
 
 
 def _prefault_batch(sys: pm.SystemModel):
-    yred = sys.y_red
-    return lambda x: pm._rhs(sys, yred, np.asarray(x))
+    return lambda x: pm._rhs(sys, sys.y_red, np.asarray(x))
 
 
-def jacobian(sys: pm.SystemModel, *, refined: bool = True, extended: bool = True) -> np.ndarray:
+def jacobian(sys: pm.SystemModel) -> np.ndarray:
     """Jacobian of the pre-fault dynamics at the equilibrium.
 
-    The default Richardson-refined extended-precision build keeps entry
-    errors near 1e-12 so they never mask higher-order remainder
-    measurements; ``refined=False, extended=False`` gives the plain
-    1e-6-step central-difference stencil.
+    Richardson-extrapolated central differences (4 J(h/2) - J(h)) / 3 with
+    h = 1e-4, in extended precision: the extrapolation kills the h^2 term
+    and the larger step keeps cancellation noise low, so entries come out
+    about 1e4 times more accurate than the plain 1e-6 stencil of
+    :func:`fd_jacobian`, keeping fourth-order remainders visible.
     """
-    x0 = sys.x0.astype(np.longdouble) if extended else sys.x0
-    fd = fd_jacobian_refined if refined else fd_jacobian
-    return np.asarray(fd(_prefault_batch(sys), x0), dtype=float)
+    f = _prefault_batch(sys)
+    x0 = sys.x0.astype(np.longdouble)
+    step = 1e-4
+    j_h = fd_jacobian(f, x0, step=step)
+    j_h2 = fd_jacobian(f, x0, step=step / 2.0)
+    return np.asarray((4.0 * j_h2 - j_h) / 3.0, dtype=float)
 
 
 def nonlinear_state_columns(sys: pm.SystemModel) -> np.ndarray:
@@ -226,9 +224,10 @@ def taylor_tensors(sys: pm.SystemModel, order: int, *, extended: bool = True) ->
     """Dense symmetrized derivative tensor (with the 1/order! factor) of
     the pre-fault dynamics around ``sys.x0``.
 
-    Runs in extended precision with a Richardson pass on the quadratic
-    term: in plain double the high-gain exciter rows bottom out near 1e-6
-    per entry, enough to bury fourth-order remainders.
+    Runs in extended precision with a Richardson pass at both orders: in
+    plain double the high-gain exciter rows bottom out near 1e-6 per
+    entry, enough to bury fourth-order remainders.  ``extended=False``
+    gives the plain double-precision stencil without refinement.
     """
     if sys.n_states > DENSE_STATE_LIMIT:
         raise ModelBuildError(
@@ -284,31 +283,20 @@ def _structured_tuples(sys: pm.SystemModel, order: int):
 
 def _structured_coo(sys: pm.SystemModel, order: int):
     """Sparse COO representation (coords, values) of the order-2 or
-    order-3 derivative tensor, enumerated from machine-pair coupling."""
+    order-3 derivative tensor, enumerated from machine-pair coupling.
+
+    Runs in double precision, with the Richardson pass at order 2 only.
+    """
     if np.any(sys._p["ka"] != 0.0):
         raise ModelBuildError(
             "structured tensor build needs open exciter voltage loops "
             "(ka = 0 on every machine); terminal-voltage feedback couples "
             "all machine triples and the derivative tensors become dense"
         )
-    step = QUAD_STEP if order == 2 else CUBIC_STEP
-    h = step * np.maximum(1.0, np.abs(sys.x0))
-    tups = _structured_tuples(sys, order)
-    values = _refined_multiset_values if order == 2 else _multiset_values
-    vals = values(_prefault_batch(sys), sys.x0, h, [t for t, _ in tups], order)
-    coord_parts = []
-    value_parts = []
-    for (tup, rows), v in zip(tups, vals):
-        vr = v[rows]
-        for perm in set(itertools.permutations(tup)):
-            block = np.empty((rows.size, order + 1), dtype=np.int64)
-            block[:, 0] = rows
-            block[:, 1:] = perm
-            coord_parts.append(block)
-            value_parts.append(vr)
-    coords = np.concatenate(coord_parts, axis=0)
-    values = np.concatenate(value_parts)
-    return coords, values
+    return _derivative_coo(
+        _prefault_batch(sys), sys.x0, order, _structured_tuples(sys, order),
+        refine=order == 2,
+    )
 
 
 def _cp_als_coo(
@@ -428,67 +416,49 @@ def linear_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
     return model.a1 @ dx
 
 
-def build_taylor_model(
-    sys: pm.SystemModel,
-    ranks,
-    *,
-    seed: int = 0,
-    cp_options: dict | None = None,
-    keep_raw: bool | None = None,
-) -> TaylorModel:
-    """Build the per-level Taylor model.
-
-    ``ranks`` is ``(r2, r3)`` for ALS compression or the string ``"full"``
-    for the exact constructive factorization (dense path only).  Raw
-    tensors are retained for oracle checks when the state count allows.
-    """
-    n = sys.n_states
-    opts = dict(cp_options or {})
-    dense = n <= DENSE_STATE_LIMIT
-    if keep_raw is None:
-        keep_raw = dense
-    if not dense:
-        if ranks == "full":
-            raise ModelBuildError(
-                f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
-            )
-        if keep_raw:
-            raise ModelBuildError(
-                f"raw tensors cannot be retained above {DENSE_STATE_LIMIT} states"
-            )
-
-    a1 = jacobian(sys)
-    if dense:
-        t2 = taylor_tensors(sys, 2)
-        t3 = taylor_tensors(sys, 3)
-        if ranks == "full":
-            f2, f3 = cp_exact(t2), cp_exact(t3)
-        else:
-            r2, r3 = ranks
-            f2 = cp_decompose(t2, int(r2), seed=seed, **opts)
-            f3 = cp_decompose(t3, int(r3), seed=seed + 1, **opts)
-        return TaylorModel(
-            load_level=sys.load_level,
-            x0=sys.x0.copy(),
-            a1=a1,
-            a2=f2,
-            a3=f3,
-            ranks=(f2.rank, f3.rank),
-            fits=(f2.fit, f3.fit),
-            a2_raw=t2 if keep_raw else None,
-            a3_raw=t3 if keep_raw else None,
+def build_taylor_model(sys: pm.SystemModel, ranks, *, seed: int = 0,
+                       cp_options: dict | None = None) -> TaylorModel:
+    """The per-level Taylor model: the Jacobian and derivative terms around
+    ``sys.x0`` (dense tensors up to :data:`DENSE_STATE_LIMIT` states,
+    coordinate lists above, where ``ranks="full"`` is refused), compressed
+    by :func:`compress_taylor_terms`."""
+    if sys.n_states <= DENSE_STATE_LIMIT:
+        terms = (jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3))
+    elif ranks == "full":
+        raise ModelBuildError(
+            f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
         )
+    else:
+        terms = (jacobian(sys), _structured_coo(sys, 2), _structured_coo(sys, 3))
+    return compress_taylor_terms(sys, terms, ranks, seed=seed, cp_options=cp_options)
 
-    r2, r3 = int(ranks[0]), int(ranks[1])
-    c2, v2 = _structured_coo(sys, 2)
-    c3, v3 = _structured_coo(sys, 3)
-    als = {k: v for k, v in opts.items() if k in ("max_iters", "fit_tolerance", "restarts")}
-    # offline large-system compression: favor build time, the evaluation
-    # cost downstream depends only on the chosen ranks
-    als.setdefault("max_iters", 30)
-    als.setdefault("fit_tolerance", 1e-6)
-    f2 = _cp_als_coo((n,) * 3, c2, v2, r2, seed=seed, **als)
-    f3 = _cp_als_coo((n,) * 4, c3, v3, r3, seed=seed + 1, **als)
+
+def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
+                          cp_options: dict | None = None) -> TaylorModel:
+    """The :class:`TaylorModel` of ``sys`` from its terms ``(a1, t2, t3)``.
+
+    ``t2``/``t3`` are dense :class:`Tensor` objects, kept on the model as
+    raw oracle tensors, or ``(coords, values)`` pairs.  ``ranks`` is
+    ``(r2, r3)`` for ALS compression seeded with ``seed`` and ``seed + 1``,
+    or ``"full"`` for the exact constructive factors of dense terms.
+    """
+    a1, t2, t3 = terms
+    opts = dict(cp_options or {})
+    dense = isinstance(t2, Tensor)
+    if ranks == "full":
+        f2, f3 = cp_exact(t2), cp_exact(t3)
+    elif dense:
+        f2 = cp_decompose(t2, int(ranks[0]), seed=seed, **opts)
+        f3 = cp_decompose(t3, int(ranks[1]), seed=seed + 1, **opts)
+    else:
+        n = sys.n_states
+        als = {k: v for k, v in opts.items() if k in ("max_iters", "fit_tolerance", "restarts")}
+        # offline large-system compression: favor build time, the evaluation
+        # cost downstream depends only on the chosen ranks
+        als.setdefault("max_iters", 30)
+        als.setdefault("fit_tolerance", 1e-6)
+        f2 = _cp_als_coo((n,) * 3, *t2, int(ranks[0]), seed=seed, **als)
+        f3 = _cp_als_coo((n,) * 4, *t3, int(ranks[1]), seed=seed + 1, **als)
     return TaylorModel(
         load_level=sys.load_level,
         x0=sys.x0.copy(),
@@ -497,6 +467,8 @@ def build_taylor_model(
         a3=f3,
         ranks=(f2.rank, f3.rank),
         fits=(f2.fit, f3.fit),
+        a2_raw=t2 if dense else None,
+        a3_raw=t3 if dense else None,
     )
 
 
@@ -540,21 +512,13 @@ def build_hybrid(sys: pm.SystemModel, taylor: TaylorModel, nonlinear_ids) -> Hyb
     return HybridModel(taylor=taylor, nonlinear_ids=ids, row_mask=mask)
 
 
-def hybrid_rhs(
-    h: HybridModel,
-    x: np.ndarray,
-    sys: pm.SystemModel,
-    yred: np.ndarray | None = None,
-) -> np.ndarray:
+def hybrid_rhs(h: HybridModel, x: np.ndarray, sys: pm.SystemModel) -> np.ndarray:
     """Combine full-model rows (nonlinear set) with reduced rows.
 
-    Full rows are evaluated by the same kernel as the plain full model, so
-    they match it bit for bit.  ``yred`` defaults to the pre-fault
-    network ``sys.y_red``.
+    Full rows are evaluated on the pre-fault network by the same kernel as
+    the plain full model, so they match it bit for bit.
     """
-    if yred is None:
-        yred = sys.y_red
-    full = pm._rhs(sys, yred, x)
+    full = pm._rhs(sys, sys.y_red, x)
     if h.all_nonlinear:
         return full
     red = reduced_rhs(h.taylor, x - h.taylor.x0)

@@ -280,6 +280,8 @@ def cp_als(
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if norm_t == 0.0:
         return _zero_factors(dims, rank)
 

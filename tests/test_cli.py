@@ -68,14 +68,34 @@ class TestErrors:
         code = run_cli(["sweep", "--system", "wscc9", *FAST, "--out", tmp_path / "o"])
         assert code == 2
 
-    def test_bad_config_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"no_such_flag": 1}, {"dt": "fast"}, {"command": "build"}, {"fault_bus": 7.5}],
+        ids=["unknown_key", "bad_type", "command", "fractional_bus"],
+    )
+    def test_bad_config_key(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text('{"no_such_flag": 1}')
+        cfgp.write_text(json.dumps({"fault_bus": 7, **cfg}))
         code = run_cli(
-            ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
-             "--config", cfgp, "--out", tmp_path / "o"]
+            ["simulate", "--system", "wscc9", "--t-clear", "0.1", "--t-end", "0.2",
+             "--mode", "force_full", "--config", cfgp, "--out", tmp_path / "o"]
         )
         assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+
+    def test_config_value_parsed_like_flag(self, tmp_path):
+        # a JSON string goes through the flag's type, as on the command
+        # line, and null leaves a flag that defaults to None unset
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"fault_bus": "7", "t_end": None}))
+        args = ["simulate", "--system", "wscc9", "--t-clear", "0.1", "--horizon", "0.3",
+                "--mode", "force_full"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--config", cfgp, "--out", a]) == 0
+        assert run_cli(args + ["--fault-bus", "7", "--out", b]) == 0
+        for name in ("trajectory.csv", "switch_log.jsonl", "simulate_report.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestSimulate:

@@ -37,6 +37,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             sim.integrate(lambda x: x, np.zeros(1), (0, 1), 0.0)
 
+    def test_nonzero_start_time(self):
+        traj = sim.integrate(lambda x: -x, np.array([1.0]), (0.5, 1.5), 0.01)
+        assert traj.times[0] == 0.5
+        assert abs(traj.times[-1] - 1.5) < 1e-12
+        assert abs(traj.states[-1, 0] - math.exp(-1.0)) < 1e-9
+        blown = sim.integrate(lambda x: x * x, np.array([5.0]), (2.0, 12.0), 0.1)
+        assert blown.times[0] == 2.0
+        # the blow-up time counts from the span's start, one step past the
+        # last finite state
+        assert blown.blowup_time == pytest.approx(blown.times[-1] + 0.1)
+        assert blown.blowup_time > 2.0
+
 
 class TestRotorDeviation:
     def test_zero_at_base(self, wscc_sys):
@@ -211,6 +223,37 @@ class TestRunAdaptive:
         scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=1.0, load_level=0.9)
         with pytest.raises(ValueError, match="load level"):
             sim.run_adaptive(wscc_sys, None, scn, pol)
+
+    def test_instability_stop(self, wscc_sys, wscc_model_set):
+        # a fault held well past the CCT: the run ends on the first step
+        # whose study-area angle leaves the limit, with that step kept
+        scn = sim.Scenario(fault_bus=7, t_clear=0.4, t_end=3.0)
+        traj = sim.run_adaptive(wscc_sys, wscc_model_set, scn, sim.SwitchPolicy(),
+                                instability_stop_deg=180)
+        assert not traj.completed
+        assert traj.blowup_time is None
+        assert traj.unstable_at == traj.n_steps * 0.01
+        assert traj.n_steps < 300
+        assert traj.states.shape[0] == traj.n_steps + 1
+        assert len(traj.modes) == traj.n_steps
+        ref, _ = sim.select_reference_generator(wscc_sys)
+        swing = np.max([np.abs(study.relative_angles(traj, wscc_sys, g, ref))
+                        for g in wscc_sys.study], axis=0)
+        assert swing[-1] > math.pi and np.all(swing[:-1] <= math.pi)
+
+    def test_blowup_truncates(self, wscc_sys, wscc_model_set):
+        # the Taylor model alone diverges after a long fault; the run keeps
+        # the finite states and drops the step that blew up
+        pol = sim.SwitchPolicy(mode="force_taylor")
+        scn = sim.Scenario(fault_bus=7, t_clear=0.3, t_end=3.0)
+        traj = sim.run_adaptive(wscc_sys, wscc_model_set, scn, pol)
+        assert not traj.completed
+        assert traj.unstable_at is None
+        assert traj.blowup_time == pytest.approx((traj.n_steps + 1) * 0.01)
+        assert traj.n_steps < 300
+        assert np.all(np.isfinite(traj.states))
+        assert traj.states.shape[0] == traj.n_steps + 1
+        assert len(traj.modes) == traj.n_steps
 
 
 class TestExports:

@@ -1,0 +1,56 @@
+"""Source hygiene: no unused imports, and every ``__all__`` entry resolves.
+
+No linter is a dependency of the project, so this walks each module's
+syntax tree instead.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tensorsim"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _parse(name):
+    return ast.parse((SRC / f"{name}.py").read_text())
+
+
+def _declared_all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _module(name):
+    return importlib.import_module("tensorsim" if name == "__init__" else f"tensorsim.{name}")
+
+
+def test_modules_found():
+    assert {"__init__", "simulate", "taylor", "cli"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = _parse(name)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(imported - used - set(_declared_all(tree)))
+    assert not unused, f"{name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    mod = _module(name)
+    missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert not missing, f"{name}: __all__ names missing from the module: {missing}"

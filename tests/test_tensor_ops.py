@@ -211,6 +211,12 @@ class TestCpDecompose:
         with pytest.raises(ValueError):
             cp_decompose(Tensor(np.ones((2, 2))), 0)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_iteration_cap_validation(self, max_iters):
+        t = Tensor(np.random.default_rng(16).standard_normal((3, 3, 3)))
+        with pytest.raises(ValueError, match="max_iters"):
+            cp_decompose(t, 2, max_iters=max_iters)
+
     def test_planted_rank_three_with_zero_slices(self):
         # the kernel contracts only the nonzero slices; rows on the zero
         # slices must come back exactly zero
