@@ -140,8 +140,16 @@ def _apply_config_file(args, argv, command_parser):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     flags = {a.dest: a for a in command_parser._actions if a.dest not in ("help", "config")}
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if str(a).startswith("--")}
+    # a flag given on the command line, resolved by argparse's own rule: an
+    # exact option string, else the one option string it abbreviates
+    options = command_parser._option_string_actions
+    explicit = set()
+    for tok in argv:
+        name = str(tok).split("=")[0]
+        if name.startswith("--"):
+            hits = [name] if name in options else [o for o in options if o.startswith(name)]
+            if len(hits) == 1:
+                explicit.add(options[hits[0]].dest)
     for key, val in raw.items():
         attr = key.replace("-", "_")
         action = flags.get(attr)
@@ -228,7 +236,12 @@ def _scenario(args) -> sim.Scenario:
 def _model_set(args, sys):
     """Load a prebuilt model set or build one in process."""
     if getattr(args, "models", None):
-        return ty.load_model_set(args.models)
+        ms = ty.load_model_set(args.models)
+        n = ms.models[ms.levels[0]].n
+        if n != sys.n_states:
+            raise ConfigError(f"{args.models}: the model set has {n} states, "
+                              f"system {args.system} has {sys.n_states}")
+        return ms
     ranks = _parse_ranks(args.ranks)
     if ranks == "auto":
         raise ConfigError("--ranks auto is only available in the build command")

@@ -28,9 +28,11 @@ triples and destroys the sparsity.
 :class:`TaylorModel`.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
 kernel: an einsum over a dense tensor's nonzero slices
-(:func:`tensorsim.tensor_ops.cp_decompose`) or a gather/segment-sum over
-the coordinate list.  A model set records the ALS fit, convergence flag
-and iteration count of each level and order in its metadata.
+(:func:`tensorsim.tensor_ops.cp_decompose`), or, on the coordinate list,
+a gather/segment-sum compressed to its distinct trailing column tuples,
+so that the factor rows of each tuple are multiplied once, not once per
+nonzero.  A model set records the ALS fit, convergence flag and
+iteration count of each level and order in its metadata.
 """
 
 from __future__ import annotations
@@ -299,49 +301,91 @@ def _structured_coo(sys: pm.SystemModel, order: int):
     )
 
 
+def _segment_starts(keys: np.ndarray) -> np.ndarray:
+    """Offsets at which the runs of equal values in sorted ``keys`` start."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
+    """The MTTKRP ``mttkrp(factors, k)`` of a coordinate-format tensor,
+    computed per distinct trailing tuple ``t = (i_1, ..., i_{d-1})`` instead
+    of per nonzero: SPLATT's compressed fibers (Smith et al., IPDPS 2015) on
+    the sparse MTTKRP of Bader & Kolda (SIAM J. Sci. Comput. 30(1), 2007).
+
+    Mode 0 forms the Khatri-Rao row ``K[t] = F_1[i_1] * ... *
+    F_{d-1}[i_{d-1}]`` once per tuple, gathers it at the nonzeros, scales
+    by the values and segment-sums by row.  The trailing modes share
+    ``W[t] = sum_i T[i, t] F_0[i]``, formed once per tuple and cached on the
+    identity of ``factors[0]``, and multiply it by the other trailing
+    factors at the tuple level only.  The sort plans are built here, once;
+    the work arrays are rank-major, ``(rank, count)``.
+    """
+    d = len(dims)
+    rows = coords[:, 0]
+    keys = np.ravel_multi_index(tuple(coords[:, 1:].T), tuple(dims[1:]))
+    tuple_keys, tuple_id = np.unique(keys, return_inverse=True)
+    tuples = np.unravel_index(tuple_keys, tuple(dims[1:]))
+    by_row = np.argsort(rows, kind="stable")
+    row_starts = _segment_starts(rows[by_row])
+    row_ids = rows[by_row][row_starts]
+    row_tuple, row_vals = tuple_id[by_row], values[by_row]
+    by_tuple = np.argsort(tuple_id, kind="stable")
+    tuple_starts = _segment_starts(tuple_id[by_tuple])
+    tuple_rows, tuple_vals = rows[by_tuple], values[by_tuple]
+    trailing = [None]
+    for k in range(1, d):
+        order_k = np.argsort(tuples[k - 1], kind="stable")
+        ck = tuples[k - 1][order_k]
+        starts = _segment_starts(ck)
+        trailing.append((order_k, [t[order_k] for t in tuples], starts, ck[starts]))
+    w_cache = [None, None]  # (factors[0], W): cp_als assigns a new array per update
+
+    def mttkrp(factors, k):
+        ft = [np.ascontiguousarray(f.T) for f in factors]
+        if k == 0:
+            kr = np.take(ft[1], tuples[0], axis=1)
+            for j in range(2, d):
+                kr *= np.take(ft[j], tuples[j - 1], axis=1)
+            p = np.take(kr, row_tuple, axis=1)
+            p *= row_vals
+            starts, urows = row_starts, row_ids
+        else:
+            if w_cache[0] is not factors[0]:
+                w = np.take(ft[0], tuple_rows, axis=1)
+                w *= tuple_vals
+                w_cache[:] = factors[0], np.add.reduceat(w, tuple_starts, axis=1)
+            order_k, cols, starts, urows = trailing[k]
+            p = np.take(w_cache[1], order_k, axis=1)
+            for j in range(1, d):
+                if j != k:
+                    p *= np.take(ft[j], cols[j - 1], axis=1)
+        m = np.zeros((dims[k], p.shape[0]))
+        m[urows] = np.add.reduceat(p, starts, axis=1).T
+        return m
+
+    return mttkrp
+
+
 def _cp_als_coo(
     dims,
     coords: np.ndarray,
     values: np.ndarray,
     rank: int,
     *,
-    max_iters: int = 200,
-    fit_tolerance: float = 1e-8,
+    max_iters: int = 30,
+    fit_tolerance: float = 1e-6,
     restarts: int = 1,
     seed: int = 0,
 ) -> CpFactors:
     """:func:`tensorsim.tensor_ops.cp_als` on a sparse coordinate-format
-    tensor; the MTTKRP is a gather/segment-sum over the nonzeros."""
-    d = len(dims)
-    # sort the nonzeros along every mode once; iterations then only gather
-    # factor rows and segment-sum
-    mode_plan = []
-    for k in range(d):
-        order_k = np.argsort(coords[:, k], kind="stable")
-        ck = coords[order_k, k]
-        starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
-        sorted_cols = [np.ascontiguousarray(coords[order_k, j]) for j in range(d)]
-        mode_plan.append((values[order_k], sorted_cols, starts, ck[starts]))
-
-    nnz = values.size
-    p = np.empty((nnz, rank))
-    g = np.empty((nnz, rank))
-
-    def coo_mttkrp(factors, k):
-        vals_k, cols_k, starts, urows = mode_plan[k]
-        p[:] = vals_k[:, None]
-        for j in range(d):
-            if j != k:
-                np.take(factors[j], cols_k[j], axis=0, out=g)
-                np.multiply(p, g, out=p)
-        m = np.zeros((dims[k], rank))
-        m[urows] = np.add.reduceat(p, starts, axis=0)
-        return m
-
+    tensor, with the tuple-compressed MTTKRP of :func:`_coo_mttkrp`.  The
+    defaults are the large-system build's: offline compression favours
+    build time, and the evaluation cost downstream depends only on the
+    ranks."""
     return cp_als(
         dims,
         float(np.linalg.norm(values)),
-        coo_mttkrp,
+        _coo_mttkrp(dims, coords, values),
         rank,
         max_iters=max_iters,
         fit_tolerance=fit_tolerance,
@@ -453,10 +497,6 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
     else:
         n = sys.n_states
         als = {k: v for k, v in opts.items() if k in ("max_iters", "fit_tolerance", "restarts")}
-        # offline large-system compression: favor build time, the evaluation
-        # cost downstream depends only on the chosen ranks
-        als.setdefault("max_iters", 30)
-        als.setdefault("fit_tolerance", 1e-6)
         f2 = _cp_als_coo((n,) * 3, *t2, int(ranks[0]), seed=seed, **als)
         f3 = _cp_als_coo((n,) * 4, *t3, int(ranks[1]), seed=seed + 1, **als)
     return TaylorModel(

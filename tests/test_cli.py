@@ -127,6 +127,17 @@ class TestSimulate:
         rep = json.loads((out / "simulate_report.json").read_text())
         assert rep["scenario"]["t_end"] == 0.5  # flag wins over config file
 
+    @pytest.mark.parametrize("flag", [["--t-e", "0.5"], ["--t-e=0.5"]],
+                             ids=["prefix", "prefix_equals"])
+    def test_abbreviated_flag_beats_config(self, tmp_path, flag):
+        # argparse accepts a unique prefix of a flag; it still counts as given
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"t_end": 1.0, "t_clear": 0.2}))
+        parser, commands = cli._parser()
+        argv = ["simulate", "--system", "wscc9", "--config", str(cfgp), *flag]
+        args = cli._apply_config_file(parser.parse_args(argv), argv, commands["simulate"])
+        assert (args.t_end, args.t_clear) == (0.5, 0.2)
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["simulate", "--system", "wscc9", "--fault-bus", "7",
                 "--t-clear", "0.1", "--t-end", "1.0", "--seed", "3", *FAST]
@@ -161,6 +172,18 @@ class TestBuildAndConsumers:
              "--t-end", "1.0", "--models", out / "models.npz", "--out", run, *FAST]
         )
         assert code == 0
+
+    def test_models_of_another_system_rejected(self, tmp_path, capsys, wscc_sys):
+        ms = taylor.build_model_set(wscc_sys, levels=(1.0,), ranks=(2, 2),
+                                    cp_options=dict(max_iters=2, restarts=1))
+        taylor.save_model_set(ms, tmp_path / "models.npz")
+        code = run_cli(["simulate", "--system", "ring:5", "--fault-bus", "2", "--t-clear", "0.1",
+                        "--t-end", "0.2", "--levels", "1.0", "--models", tmp_path / "models.npz",
+                        "--out", tmp_path / "r"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "27 states" in err["message"] and "45" in err["message"]
 
     def test_build_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -420,15 +420,16 @@ class TestStructuredPath:
         assert abs((1.0 - rel) - f.fit) < 1e-6
         assert np.all(np.diff(f.fit_history) > -1e-10)
 
-    def test_dense_and_coo_kernels_agree(self, wscc_sys):
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_dense_and_coo_kernels_agree(self, full_rank_model, order):
         # one ALS loop, two MTTKRP kernels: same seed and options must give
         # the same iterates whichever storage the tensor arrives in
-        t2 = taylor.taylor_tensors(wscc_sys, 2)
-        coords = np.argwhere(t2.array != 0.0)
-        values = t2.array[tuple(coords.T)]
+        t = full_rank_model.a2_raw if order == 2 else full_rank_model.a3_raw
+        coords = np.argwhere(t.array != 0.0)
+        values = t.array[tuple(coords.T)]
         opts = dict(seed=3, max_iters=20, fit_tolerance=1e-12, restarts=2)
-        dense = cp_decompose(t2, 6, **opts)
-        coo = taylor._cp_als_coo(t2.dims, coords, values, 6, **opts)
+        dense = cp_decompose(t, 6, **opts)
+        coo = taylor._cp_als_coo(t.dims, coords, values, 6, **opts)
         assert len(dense.fit_history) == len(coo.fit_history) == 20
         assert np.max(np.abs(dense.fit_history - coo.fit_history)) < 1e-9
         assert np.max(np.abs(dense.weights - coo.weights)) < 1e-9
@@ -441,3 +442,59 @@ class TestStructuredPath:
 
         with pytest.raises(taylor.ModelBuildError, match="full-rank"):
             taylor.build_taylor_model(FakeSys(), "full")
+
+
+def _random_coo(dims, seed):
+    """Random coordinate tensor whose slices 0 and dims[k] - 1 are empty in
+    every mode; its trailing tuples carry different numbers of rows, and
+    the first one a single row."""
+    rng = np.random.default_rng(seed)
+    tuples = sorted({tuple(int(rng.integers(1, n - 1)) for n in dims[1:]) for _ in range(60)})
+    coords = []
+    for i, tup in enumerate(tuples):
+        count = 1 if i == 0 else int(rng.integers(1, dims[0] - 1))
+        coords += [(r, *tup) for r in rng.choice(np.arange(1, dims[0] - 1), count, replace=False)]
+    coords = rng.permutation(np.asarray(coords, dtype=np.int64))
+    return coords, rng.standard_normal(len(coords))
+
+
+def _reference_mttkrp(dims, coords, values, factors, k):
+    p = values[:, None].copy()
+    for j in range(len(dims)):
+        if j != k:
+            p = p * factors[j][coords[:, j]]
+    m = np.zeros((dims[k], p.shape[1]))
+    np.add.at(m, coords[:, k], p)
+    return m
+
+
+class TestCooKernel:
+    @pytest.mark.parametrize("dims", [(9, 7, 8), (9, 7, 8, 6)], ids=["order3", "order4"])
+    def test_matches_scatter_add_reference(self, dims):
+        coords, values = _random_coo(dims, seed=len(dims))
+        _, per_tuple = np.unique(coords[:, 1:], axis=0, return_counts=True)
+        assert per_tuple.min() == 1 and per_tuple.max() > 2
+        for k, n in enumerate(dims):
+            assert set(coords[:, k]) <= set(range(1, n - 1))
+        rng = np.random.default_rng(0)
+        factors = [rng.standard_normal((n, 5)) for n in dims]
+        mttkrp = taylor._coo_mttkrp(dims, coords, values)
+        for k in reversed(range(len(dims))):  # the kernel must not assume a mode order
+            ref = _reference_mttkrp(dims, coords, values, factors, k)
+            got = mttkrp(factors, k)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert not got[0].any() and not got[-1].any()
+
+    def test_new_leading_factor_invalidates_cache(self):
+        dims = (9, 7, 8, 6)
+        coords, values = _random_coo(dims, seed=1)
+        rng = np.random.default_rng(1)
+        factors = [rng.standard_normal((n, 4)) for n in dims]
+        mttkrp = taylor._coo_mttkrp(dims, coords, values)
+        stale = mttkrp(factors, 2)
+        factors[0] = rng.standard_normal(factors[0].shape)
+        for k in (2, 1, 3):
+            ref = _reference_mttkrp(dims, coords, values, factors, k)
+            assert np.max(np.abs(mttkrp(factors, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(stale - mttkrp(factors, 2))) > 1e-3
