@@ -505,17 +505,31 @@ class SystemModel:
     study: tuple
     external: tuple
 
-    # dense parameter arrays in machine order, built once for fast rhs
-    _p: dict = field(default_factory=dict, repr=False)
+    # dense parameter arrays in machine order, and the constants _rhs
+    # folds from them, built once for fast rhs
+    _p: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._p:
-            g = lambda name: np.array([getattr(m, name) for m in self.machines])
-            self._p = {k: g(k) for k in (
-                "h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p",
-                "ka", "ta", "ke", "te", "kf", "tf", "aex", "bex",
-                "r_droop", "tg", "tch", "vref", "pref",
-            )}
+        g = lambda name: np.array([getattr(m, name) for m in self.machines])
+        p = {k: g(k) for k in (
+            "h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p",
+            "ka", "ta", "ke", "te", "kf", "tf", "aex", "bex",
+            "r_droop", "tg", "tch", "vref", "pref",
+        )}
+        # each folded constant is the exact expression _rhs would evaluate
+        # per call, so folding it changes no bit of the result
+        p["2h"] = 2.0 * p["h"]
+        p["xd-xdp"] = p["xd"] - p["xdp"]
+        p["xq-xqp"] = p["xq"] - p["xqp"]
+        p["ka*kf/tf"] = p["ka"] * p["kf"] / p["tf"]
+        p["kf/tf"] = p["kf"] / p["tf"]
+        # divisor of every state row, in state order; the angle row has
+        # none, and dividing by 1.0 is exact
+        p["div"] = np.stack([
+            np.ones(len(self.machines)), p["2h"], p["td0p"], p["tq0p"],
+            p["te"], p["ta"], p["tf"], p["tch"], p["tg"],
+        ], axis=-1)
+        self._p = p
 
     @property
     def n_machines(self) -> int:
@@ -576,19 +590,20 @@ def _rhs(sys: SystemModel, yred: np.ndarray, x: np.ndarray) -> np.ndarray:
     dom = omega - 1.0
     se = p["aex"] * np.exp(p["bex"] * efd)
 
+    # the nine numerators, then one division by the per-row divisors
     out = np.empty_like(xs)
     out[..., 0] = OMEGA_S * dom
-    out[..., 1] = (pm - pe - p["d"] * dom) / (2.0 * p["h"])
-    out[..., 2] = (-eqp - (p["xd"] - p["xdp"]) * id_ + efd) / p["td0p"]
-    out[..., 3] = (-edp + (p["xq"] - p["xqp"]) * iq) / p["tq0p"]
-    out[..., 4] = (-(p["ke"] + se) * efd + vr) / p["te"]
+    out[..., 1] = pm - pe - p["d"] * dom
+    out[..., 2] = -eqp - p["xd-xdp"] * id_ + efd
+    out[..., 3] = -edp + p["xq-xqp"] * iq
+    out[..., 4] = -(p["ke"] + se) * efd + vr
     out[..., 5] = (
-        -vr + p["ka"] * rf - (p["ka"] * p["kf"] / p["tf"]) * efd
-        + p["ka"] * (p["vref"] - vt)
-    ) / p["ta"]
-    out[..., 6] = (-rf + (p["kf"] / p["tf"]) * efd) / p["tf"]
-    out[..., 7] = (-pm + pgv) / p["tch"]
-    out[..., 8] = (-pgv + p["pref"] - dom / p["r_droop"]) / p["tg"]
+        -vr + p["ka"] * rf - p["ka*kf/tf"] * efd + p["ka"] * (p["vref"] - vt)
+    )
+    out[..., 6] = -rf + p["kf/tf"] * efd
+    out[..., 7] = -pm + pgv
+    out[..., 8] = -pgv + p["pref"] - dom / p["r_droop"]
+    out /= p["div"]
     return out.reshape(x.shape)
 
 

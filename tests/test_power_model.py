@@ -308,6 +308,69 @@ class TestFullRhs:
         assert np.max(np.abs(r1 - r2)) < 1e-10
 
 
+def _rhs_reference(sys, yred, x):
+    """The right-hand side with every constant evaluated in place, each
+    row divided on its own: the oracle for the bytes of ``pm._rhs``."""
+    p = {k: np.array([getattr(mach, k) for mach in sys.machines]) for k in (
+        "h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p", "ka", "ta", "ke",
+        "te", "kf", "tf", "aex", "bex", "r_droop", "tg", "tch", "vref", "pref")}
+    xs = x.reshape(x.shape[:-1] + (sys.n_machines, 9))
+    delta, omega, eqp, edp, efd, vr, rf, pm_, pgv = (xs[..., j] for j in range(9))
+    u = np.sin(delta) - 1j * np.cos(delta)
+    e_net = (edp + 1j * eqp) * u
+    i_net = e_net @ yred.T
+    i_mach = i_net * np.conj(u)
+    id_ = i_mach.real
+    iq = i_mach.imag
+    pe = edp * id_ + eqp * iq
+    vt = np.abs(e_net - 1j * p["xdp"] * i_net)
+    dom = omega - 1.0
+    se = p["aex"] * np.exp(p["bex"] * efd)
+    out = np.empty_like(xs)
+    out[..., 0] = pm.OMEGA_S * dom
+    out[..., 1] = (pm_ - pe - p["d"] * dom) / (2.0 * p["h"])
+    out[..., 2] = (-eqp - (p["xd"] - p["xdp"]) * id_ + efd) / p["td0p"]
+    out[..., 3] = (-edp + (p["xq"] - p["xqp"]) * iq) / p["tq0p"]
+    out[..., 4] = (-(p["ke"] + se) * efd + vr) / p["te"]
+    out[..., 5] = (
+        -vr + p["ka"] * rf - (p["ka"] * p["kf"] / p["tf"]) * efd
+        + p["ka"] * (p["vref"] - vt)
+    ) / p["ta"]
+    out[..., 6] = (-rf + (p["kf"] / p["tf"]) * efd) / p["tf"]
+    out[..., 7] = (-pm_ + pgv) / p["tch"]
+    out[..., 8] = (-pgv + p["pref"] - dom / p["r_droop"]) / p["tg"]
+    return out.reshape(x.shape)
+
+
+class TestRhsBytes:
+    """``_rhs`` folds its constants and divides once; every bit must stay
+    what the per-row formula gives."""
+
+    @pytest.mark.parametrize("network", ["prefault", "faulted"])
+    @pytest.mark.parametrize("system", ["wscc9", "ring5"])
+    def test_matches_reference(self, request, system, network):
+        sys_m = request.getfixturevalue("wscc_sys" if system == "wscc9" else "ring5_sys")
+        yred = (sys_m.y_red if network == "prefault"
+                else pm.apply_fault(sys_m, sys_m.machines[-1].bus))
+        rng = np.random.default_rng(11)
+        batch = sys_m.x0 + 0.05 * rng.standard_normal((16, sys_m.n_states))
+        cases = [sys_m.x0, *batch[:4], batch, batch.reshape(2, 8, -1),
+                 batch[:4].astype(np.longdouble), batch[0].astype(np.longdouble)]
+        for x in cases:
+            got = pm._rhs(sys_m, yred, x)
+            ref = _rhs_reference(sys_m, yred, x)
+            assert got.dtype == ref.dtype == x.dtype and got.shape == x.shape
+            if x.dtype == np.float64:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                # extended precision carries uninitialised padding bytes;
+                # finite values that are equal and share their sign have
+                # the same significant bits
+                assert np.all(np.isfinite(ref))
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 class TestColumnNorms:
     def test_two_generator_tie(self):
         yred = np.array([[-5j, 5j], [5j, -5j]])  # single tie of -5j

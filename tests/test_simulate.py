@@ -34,8 +34,12 @@ class TestIntegrate:
         assert len(traj.times) == traj.states.shape[0]
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt"):
             sim.integrate(lambda x: x, np.zeros(1), (0, 1), 0.0)
+        # a span that ends before it starts is named, whatever its length
+        for span in ((1.0, 0.9), (1.0, 0.0)):
+            with pytest.raises(ValueError, match=rf"t_span \({span[0]}, {span[1]}\)"):
+                sim.integrate(lambda x: x, np.zeros(1), span, 0.1)
 
     def test_nonzero_start_time(self):
         traj = sim.integrate(lambda x: -x, np.array([1.0]), (0.5, 1.5), 0.01)
@@ -254,6 +258,87 @@ class TestRunAdaptive:
         assert np.all(np.isfinite(traj.states))
         assert traj.states.shape[0] == traj.n_steps + 1
         assert len(traj.modes) == traj.n_steps
+
+
+def _plain_march(x, steps, dt, step_rhs, *, settled_from, stop=None):
+    """Reference RK4 loop: every step of the horizon is taken."""
+    x = np.array(x, dtype=float)
+    states = [x]
+    for k in range(steps):
+        f = step_rhs(k, x)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            return np.array(states), k + 1, None
+        states.append(x)
+        if stop is not None and stop(x):
+            return np.array(states), None, k + 1
+    return np.array(states), None, None
+
+
+class TestSettledExit:
+    """A run that reaches a state its next step returns bit for bit ends
+    there; the trajectory must equal the one stepped to the horizon."""
+
+    @pytest.mark.parametrize("level,mode,t_fault_on,t_clear,settles", [
+        (0.8, "force_full", 0.0, 0.0, True),
+        (1.0, "adaptive", 0.0, 0.0, True),
+        # at equilibrium before the fault: an exit before clearing would
+        # skip the fault
+        (0.8, "force_full", 0.2, 0.3, False),
+    ])
+    def test_matches_every_step(self, monkeypatch, wscc_spec, wscc_model_set,
+                                level, mode, t_fault_on, t_clear, settles):
+        sys_l = pm.build_system(wscc_spec, level)
+        scn = sim.Scenario(fault_bus=7, t_fault_on=t_fault_on, t_clear=t_clear,
+                           load_level=level)
+        ms = None if mode == "force_full" else wscc_model_set
+        pol = sim.SwitchPolicy(mode=mode)
+
+        stepped = []
+        march = sim._march
+
+        def counting_march(x, steps, dt, step_rhs, **kw):
+            def counted(k, x):
+                stepped.append(k)
+                return step_rhs(k, x)
+            return march(x, steps, dt, counted, **kw)
+
+        monkeypatch.setattr(sim, "_march", counting_march)
+        got = sim.run_adaptive(sys_l, ms, scn, pol, instability_stop_deg=180)
+        monkeypatch.setattr(sim, "_march", _plain_march)
+        ref = sim.run_adaptive(sys_l, ms, scn, pol, instability_stop_deg=180)
+
+        assert got.times.tobytes() == ref.times.tobytes()
+        assert got.states.tobytes() == ref.states.tobytes()
+        assert got.modes == ref.modes
+        assert [vars(e) for e in got.switch_log] == [vars(e) for e in ref.switch_log]
+        assert (got.completed, got.blowup_time, got.unstable_at) == (
+            ref.completed, ref.blowup_time, ref.unstable_at)
+        assert ref.completed and ref.n_steps == 1600
+        assert (len(stepped) < 100) == settles
+
+    def test_integrate_signed_zero(self, monkeypatch):
+        # From -0.0 the first step returns +0.0, equal in value but not in
+        # bytes.  This right-hand side tells the two zeros apart, so the
+        # state moves on from +0.0; an exit on == would stop at +0.0.
+        dt = 0.1
+        table = {0.5 * dt: -1.0, -0.5 * dt: 5.0}
+
+        def rhs(x):
+            v = x.item(0)
+            if v == 0.0:
+                return np.array([0.0 if math.copysign(1.0, v) < 0 else 1.0])
+            return np.array([table.get(v, 0.0)])
+
+        got = sim.integrate(rhs, np.array([-0.0]), (0, 1), dt)
+        monkeypatch.setattr(sim, "_march", _plain_march)
+        ref = sim.integrate(rhs, np.array([-0.0]), (0, 1), dt)
+        assert got.states.tobytes() == ref.states.tobytes()
+        assert ref.states[1, 0] == 0.0 and ref.states[-1, 0] > 0.0
 
 
 class TestExports:

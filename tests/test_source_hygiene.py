@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, and every ``__all__`` entry resolves.
+"""Source hygiene: no unused imports, every ``__all__`` entry resolves,
+and every function the benchmark's tracer wraps exists.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tensorsim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tensorsim"
+TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -18,13 +21,19 @@ def _parse(name):
     return ast.parse((SRC / f"{name}.py").read_text())
 
 
-def _declared_all(tree) -> list:
+def _assigned(tree, name):
+    """The value node of a module-level ``name = ...``, or None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return list(ast.literal_eval(node.value))
-    return []
+            return node.value
+    return None
+
+
+def _declared_all(tree) -> list:
+    node = _assigned(tree, "__all__")
+    return [] if node is None else list(ast.literal_eval(node))
 
 
 def _module(name):
@@ -54,3 +63,13 @@ def test_all_entries_resolve(name):
     mod = _module(name)
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert not missing, f"{name}: __all__ names missing from the module: {missing}"
+
+
+def test_tracer_layers_resolve():
+    # a renamed or removed kernel would leave the tracer's wrapper unused and
+    # its counters silently at zero; perfbench is read, not imported
+    layers = _assigned(ast.parse(TRACER.read_text()), "LAYERS")
+    assert isinstance(layers, ast.Tuple) and layers.elts
+    pairs = [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in layers.elts]
+    missing = [f"{m}.{a}" for m, a in pairs if not callable(getattr(_module(m), a, None))]
+    assert not missing, f"perfbench/tracer.py wraps names tensorsim lacks: {missing}"
