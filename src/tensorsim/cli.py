@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every command resolves one flat configuration (defaults < config file <
-explicit flags), hashes it, and embeds the hash and tool version in every
-artifact it writes, so any output can be regenerated from its config and
-seed.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error; failures also emit one machine-readable JSON line on stderr.
+Each command takes only the flags its handler reads (``--help`` lists
+them).  It resolves one flat configuration (defaults < config file <
+explicit flags): the config file's keys, which must name flags of that
+command, become the command's defaults, so argparse itself lets a flag
+given on the command line win.  The configuration is hashed, and the
+hash and tool version go into every artifact the command writes, so any
+output can be regenerated from its config and seed.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure, 4 I/O error;
+failures also emit one machine-readable JSON line on stderr.
 
 ``--system`` takes a JSON file path or one of the bundled case names
 ``wscc9`` (3-machine 9-bus fixture) and ``ring:<machines>[:<seed>]``
@@ -49,6 +53,38 @@ _NUMERICAL_ERRORS = (
 )
 
 
+# the flags that several commands share; each command lists the ones its
+# handler reads
+_FLAGS = {
+    "--system": dict(required=True,
+                     help="system JSON file, or 'wscc9' / 'ring:<m>[:<seed>]'"),
+    "--config": dict(default=None,
+                     help="JSON config file of this command's flags; explicit flags override it"),
+    "--out": dict(default="out", help="output directory"),
+    "--seed": dict(type=int, default=0),
+    "--dt": dict(type=float, default=0.01),
+    "--t-end": dict(type=float, default=16.0, help="simulation length, seconds"),
+    "--load-swap": dict(type=float, default=0.10),
+    "--norm-threshold": dict(type=float, default=1.0),
+    "--reference-gen": dict(default=None),
+    "--angle-threshold": dict(type=float, default=26.0),
+    "--levels": dict(default="0.8,1.0,1.2",
+                     help="representative model load levels (comma separated)"),
+    "--ranks": dict(default="30,36",
+                    help="'r2,r3', 'full' (exact factors), or 'auto' (rank search)"),
+    "--models": dict(default=None, help="prebuilt model-set .npz (else built in process)"),
+    "--fault-bus": dict(type=int, default=None, help="required (here or in the config file)"),
+    "--t-on": dict(type=float, default=0.0),
+    "--t-clear": dict(type=float, default=None),
+    "--load-level": dict(type=float, default=1.0),
+    "--mode": dict(default="adaptive", choices=sim.MODES),
+}
+_COMMON = ("--system", "--config", "--out", "--seed", "--dt", "--t-end",
+           "--load-swap", "--norm-threshold", "--reference-gen")
+_MODELS = ("--levels", "--ranks", "--models")
+_SCENARIO = ("--fault-bus", "--t-on", "--t-clear", "--load-level")
+
+
 def _parser():
     """The argument parser, and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
@@ -58,81 +94,58 @@ def _parser():
     p.add_argument("--version", action="version", version=f"tensorsim {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario=False, models=False):
-        sp.add_argument("--system", required=True,
-                        help="system JSON file, or 'wscc9' / 'ring:<m>[:<seed>]'")
-        sp.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags override it")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--levels", default="0.8,1.0,1.2",
-                        help="representative model load levels (comma separated)")
-        sp.add_argument("--ranks", default="30,36",
-                        help="'r2,r3', 'full' (exact factors), or 'auto' (rank search)")
-        sp.add_argument("--dt", type=float, default=0.01)
-        sp.add_argument("--horizon", type=float, default=16.0,
-                        help="default simulation length, seconds")
-        sp.add_argument("--angle-threshold", type=float, default=26.0)
-        sp.add_argument("--load-swap", type=float, default=0.10)
-        sp.add_argument("--norm-threshold", type=float, default=1.0)
-        sp.add_argument("--reference-gen", default=None)
-        if scenario:
-            sp.add_argument("--fault-bus", type=int, default=None,
-                            help="required (here or in the config file)")
-            sp.add_argument("--t-on", type=float, default=0.0)
-            sp.add_argument("--t-clear", type=float, default=None)
-            sp.add_argument("--t-end", type=float, default=None,
-                            help="overrides --horizon for this scenario")
-            sp.add_argument("--load-level", type=float, default=1.0)
-            sp.add_argument("--mode", default="adaptive", choices=sim.MODES)
-        if models:
-            sp.add_argument("--models", default=None,
-                            help="prebuilt model-set .npz (else built in process)")
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in _COMMON + flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         return sp
 
-    bd = common(sub.add_parser("build", help="build and persist the per-level Taylor models"))
+    bd = command("build", "build and persist the per-level Taylor models",
+                 "--levels", "--ranks", "--angle-threshold")
     bd.add_argument("--fault-bus", type=int, default=None,
                     help="scoring scenario for --ranks auto (default: first "
                          "study machine's terminal bus)")
     bd.add_argument("--t-clear", type=float, default=None,
                     help="scoring fault duration for --ranks auto "
                          "(default: 0.9x the full-model CCT)")
-    bd.add_argument("--t-end", type=float, default=None)
     bd.add_argument("--rank-tol", type=float, default=0.1)
     bd.add_argument("--max-rank", type=int, default=64)
-    common(sub.add_parser("simulate", help="run one contingency"), scenario=True, models=True)
-    common(sub.add_parser("cct", help="critical clearing time by bisection"),
-           scenario=True, models=True).set_defaults(t_clear=0.0)
-    rs = common(sub.add_parser("rank-search", help="smallest ranks meeting the accuracy stop rule"),
-                scenario=True)
+    command("simulate", "run one contingency",
+            *_MODELS, "--angle-threshold", *_SCENARIO, "--mode")
+    # the search starts the fault at t = 0 and bisects on its duration
+    command("cct", "critical clearing time by bisection",
+            *_MODELS, "--angle-threshold", "--fault-bus", "--load-level", "--mode")
+    # scored models have one level, at the ranks swept
+    rs = command("rank-search", "smallest ranks meeting the accuracy stop rule",
+                 "--angle-threshold", *_SCENARIO, "--mode")
     rs.add_argument("--start-rank", type=int, default=1)
     rs.add_argument("--rank-tol", type=float, default=0.1,
                     help="stop when max-RMS improvement drops below this, degrees")
     rs.add_argument("--max-rank", type=int, default=None)
-    ts = common(sub.add_parser("threshold-search", help="largest switching threshold within the error band"),
-                scenario=True, models=True)
+    # the search sweeps the threshold of the adaptive mode
+    ts = command("threshold-search", "largest switching threshold within the error band",
+                 *_MODELS, *_SCENARIO)
     ts.add_argument("--max-threshold", type=float, default=60.0)
     ts.add_argument("--max-error", type=float, default=5.0)
     ts.add_argument("--metric", default="rms", choices=("rms", "max"))
-    sw = common(sub.add_parser("sweep", help="load-level sweep with CCT faults"),
-                scenario=True, models=True)
+    # each swept level is cleared at its CCT and run in force_full and adaptive
+    sw = command("sweep", "load-level sweep with CCT faults",
+                 *_MODELS, "--angle-threshold", "--fault-bus")
     sw.add_argument("--sweep-levels", default="0.80:1.20:0.05",
                     help="start:stop:step for the swept load levels")
-    cp = common(sub.add_parser("compare", help="wall-clock timing comparison"),
-                scenario=True, models=True)
+    cp = command("compare", "wall-clock timing comparison",
+                 *_MODELS, "--angle-threshold", *_SCENARIO)
     cp.add_argument("--modes", default="force_full,force_taylor")
     cp.add_argument("--repetitions", type=int, default=5)
     return p, sub.choices
 
 
-def _apply_config_file(args, argv, command_parser):
-    """Fill flags not given on the command line from the JSON config file.
-    ``str(value)`` goes through the flag's type, then its choices apply;
-    untyped flags (``levels``, ...) take the JSON value as it is, and
-    ``null`` leaves a flag whose default is None unset."""
-    if not getattr(args, "config", None):
-        return args
-    path = Path(args.config)
+def _config_defaults(path, command_parser) -> dict:
+    """The JSON config file's values, checked as the command's flags
+    check theirs: ``str(value)`` goes through the flag's type, then its
+    choices apply; untyped flags (``levels``, ...) take the JSON value as
+    it is, and ``null`` is allowed only where the flag's default is None."""
+    path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -140,31 +153,38 @@ def _apply_config_file(args, argv, command_parser):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     flags = {a.dest: a for a in command_parser._actions if a.dest not in ("help", "config")}
-    # a flag given on the command line, resolved by argparse's own rule: an
-    # exact option string, else the one option string it abbreviates
-    options = command_parser._option_string_actions
-    explicit = set()
-    for tok in argv:
-        name = str(tok).split("=")[0]
-        if name.startswith("--"):
-            hits = [name] if name in options else [o for o in options if o.startswith(name)]
-            if len(hits) == 1:
-                explicit.add(options[hits[0]].dest)
+    values = {}
     for key, val in raw.items():
         attr = key.replace("-", "_")
         action = flags.get(attr)
         if action is None:
             raise ConfigError(f"{path}: unknown config key '{key}'")
-        if attr in explicit or (val is None and action.default is None):
-            continue
-        if action.type is not None:
-            try:
-                val = action.type(str(val))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad value {val!r} for config key '{key}'") from exc
-        if action.choices is not None and val not in action.choices:
-            raise ConfigError(f"{path}: config key '{key}' must be one of {list(action.choices)}")
-        setattr(args, attr, val)
+        if val is None:
+            if action.default is not None:
+                raise ConfigError(f"{path}: config key '{key}' cannot be null")
+        else:
+            if action.type is not None:
+                try:
+                    val = action.type(str(val))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path}: bad value {val!r} for config key '{key}'") from exc
+            if action.choices is not None and val not in action.choices:
+                raise ConfigError(
+                    f"{path}: config key '{key}' must be one of {list(action.choices)}")
+        values[attr] = val
+    return values
+
+
+def _parse(argv):
+    """Parse the command line.  A config file's values become the
+    command's defaults, and the command line is parsed again, so a flag
+    given there (abbreviated or not) wins."""
+    parser, commands = _parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command_parser = commands[args.command]
+        command_parser.set_defaults(**_config_defaults(args.config, command_parser))
+        args = parser.parse_args(argv)
     return args
 
 
@@ -207,19 +227,23 @@ def _parse_ranks(text):
         raise ConfigError(f"bad ranks '{text}' (want 'r2,r3', 'full', or 'auto')") from exc
 
 
+_POLICY_FIELDS = {
+    "angle_threshold": "angle_threshold_deg",
+    "load_swap": "load_change_fraction",
+    "reference_gen": "reference_generator",
+    "mode": "mode",
+    "norm_threshold": "norm_threshold_pu",
+}
+
+
 def _policy(args) -> sim.SwitchPolicy:
-    return sim.SwitchPolicy(
-        angle_threshold_deg=args.angle_threshold,
-        load_change_fraction=args.load_swap,
-        reference_generator=args.reference_gen,
-        representative_levels=_parse_levels(args.levels),
-        mode=getattr(args, "mode", "adaptive"),
-        norm_threshold_pu=args.norm_threshold,
-    )
+    """The switching policy from the command's flags; a field the command
+    has no flag for keeps its ``SwitchPolicy`` default."""
+    return sim.SwitchPolicy(**{field: getattr(args, dest) for dest, field in _POLICY_FIELDS.items()
+                               if hasattr(args, dest)})
 
 
 def _scenario(args) -> sim.Scenario:
-    t_end = args.t_end if args.t_end is not None else args.horizon
     if args.fault_bus is None:
         raise ConfigError("--fault-bus is required for this command")
     if args.t_clear is None:
@@ -228,7 +252,7 @@ def _scenario(args) -> sim.Scenario:
         fault_bus=args.fault_bus,
         t_fault_on=args.t_on,
         t_clear=args.t_clear,
-        t_end=t_end,
+        t_end=args.t_end,
         load_level=args.load_level,
     )
 
@@ -270,13 +294,12 @@ def _cmd_build(args, outdir, cfg_hash):
         bus = args.fault_bus
         if bus is None:
             bus = sys_m.machines[sys_m.machine_pos(sys_m.study[0])].bus
-        t_end = args.t_end if args.t_end is not None else args.horizon
         t_clear = args.t_clear
         if t_clear is None:
             cct = st.cct_search(sys_m, None, replace(policy, mode="force_full"),
-                                bus, dt=args.dt, t_end=t_end)
+                                bus, dt=args.dt, t_end=args.t_end)
             t_clear = round(int(0.9 * cct.stable_steps) * args.dt, 12)
-        scn = sim.Scenario(fault_bus=bus, t_clear=t_clear, t_end=t_end)
+        scn = sim.Scenario(fault_bus=bus, t_clear=t_clear, t_end=args.t_end)
         found = st.rank_search(
             sys_m, scn, policy, improvement_tol_deg=args.rank_tol,
             max_rank=args.max_rank, dt=args.dt, seed=args.seed,
@@ -344,8 +367,7 @@ def _cmd_cct(args, outdir, cfg_hash):
     ms = None
     if policy.mode != "force_full":
         ms = _model_set(args, sys_m)
-    t_end = args.t_end if args.t_end is not None else args.horizon
-    res = st.cct_search(sys_m, ms, policy, args.fault_bus, dt=args.dt, t_end=t_end)
+    res = st.cct_search(sys_m, ms, policy, args.fault_bus, dt=args.dt, t_end=args.t_end)
     report = dict(_meta(cfg_hash, args.seed))
     report.update(
         command="cct",
@@ -414,11 +436,13 @@ def _cmd_sweep(args, outdir, cfg_hash):
         lo, hi, step = (float(t) for t in args.sweep_levels.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad --sweep-levels '{args.sweep_levels}'") from exc
+    if not (step > 0 and hi >= lo):
+        raise ConfigError(f"--sweep-levels '{args.sweep_levels}' gives no level "
+                          "(want start <= stop and step > 0)")
     levels = tuple(np.round(np.arange(lo, hi + step / 2, step), 10))
     sys_m = pm.build_system(spec, 1.0)
     ms = _model_set(args, sys_m)
-    t_end = args.t_end if args.t_end is not None else args.horizon
-    rep = st.load_sweep(sys_m, ms, policy, args.fault_bus, levels, dt=args.dt, t_end=t_end)
+    rep = st.load_sweep(sys_m, ms, policy, args.fault_bus, levels, dt=args.dt, t_end=args.t_end)
     rep.config.update(_meta(cfg_hash, args.seed))
     rep.write_json(outdir / f"sweep_report_{cfg_hash}.json")
     rep.write_csv(outdir / f"sweep_{cfg_hash}.csv")
@@ -477,21 +501,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, commands = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, 0 on --help: pass through
-        return int(exc.code or 0)
-    try:
-        args = _apply_config_file(args, argv, commands[args.command])
-        cfg = _resolved_config(args)
-        cfg_hash = _config_hash(cfg)
+        args = _parse(argv)
+        cfg_hash = _config_hash(_resolved_config(args))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, outdir, cfg_hash)
+    except SystemExit as exc:
+        # argparse exits 2 on bad usage, 0 on --help: pass through
+        return int(exc.code or 0)
     except _NUMERICAL_ERRORS as exc:
         _fail(exc, EXIT_NUMERICAL)
         return EXIT_NUMERICAL

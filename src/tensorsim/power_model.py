@@ -340,8 +340,6 @@ class PowerFlowSolution:
     v: np.ndarray            # complex bus voltages, spec bus order
     iterations: int
     max_mismatch: float
-    bus_p: np.ndarray        # net injections at solution, pu
-    bus_q: np.ndarray
     machine_s: np.ndarray    # complex generated power per machine
 
 
@@ -425,8 +423,6 @@ def solve_power_flow(
         v=v,
         iterations=it,
         max_mismatch=max_mis,
-        bus_p=s.real.copy(),
-        bus_q=s.imag.copy(),
         machine_s=machine_s,
     )
 

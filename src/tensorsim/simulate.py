@@ -277,6 +277,8 @@ def run_adaptive(
     five policy modes share this driver (and its integrator), so timing
     comparisons between modes isolate right-hand-side cost.
     """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
     if abs(sys.load_level - scenario.load_level) > 1e-12:
         raise ValueError(
             f"system solved at load level {sys.load_level}, scenario wants "

@@ -244,6 +244,8 @@ def rank_search(
     """
     if max_rank is None:
         max_rank = sys.n_states**2
+    if start_rank > max_rank:
+        raise ValueError(f"empty rank range: start rank {start_rank} > max rank {max_rank}")
     full_policy = replace(policy, mode="force_full")
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     lv = sys.load_level
@@ -310,6 +312,10 @@ def threshold_search(
     if metric not in err_fns:
         raise ValueError(f"unknown error metric '{metric}' (want 'rms' or 'max')")
     err_fn = err_fns[metric]
+    if step_deg <= 0 or max_deg < start_deg:
+        raise ValueError(
+            f"empty threshold range: {start_deg} to {max_deg} degrees in steps of {step_deg}"
+        )
     full_policy = replace(policy, mode="force_full")
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     curve = []

@@ -39,9 +39,6 @@ __all__ = [
     "cp_reconstruct",
     "cp_mode1_matrix",
     "cp_exact",
-    "dump_tensor",
-    "load_tensor",
-    "dump_cp_factors",
 ]
 
 
@@ -434,30 +431,3 @@ def cp_exact(t) -> CpFactors:
         fit_history=np.empty(0),
     )
 
-
-def dump_tensor(t, path) -> None:
-    """Text dump: one dims line, then the flat data one value per line."""
-    t = _as_tensor(t)
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(n) for n in t.dims) + "\n")
-        for v in t.data:
-            fh.write(f"{v:.17g}\n")
-
-
-def load_tensor(path) -> Tensor:
-    with open(path) as fh:
-        dims = tuple(int(tok) for tok in fh.readline().split())
-        data = np.array([float(line) for line in fh if line.strip()])
-    return Tensor.from_flat(data, dims)
-
-
-def dump_cp_factors(f: CpFactors, path) -> None:
-    """Text dump: 'rank d' header, weights line, then per-factor blocks of
-    'rows rank' followed by the factor in flat column-major order."""
-    with open(path, "w") as fh:
-        fh.write(f"{f.rank} {f.ndim}\n")
-        fh.write(" ".join(f"{w:.17g}" for w in f.weights) + "\n")
-        for mat in f.factors:
-            fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-            for v in mat.ravel(order="F"):
-                fh.write(f"{v:.17g}\n")

@@ -12,6 +12,31 @@ from tensorsim.tensor_ops import cp_decompose
 
 FAST = ["--levels", "1.0", "--ranks", "6,6", "--dt", "0.01"]
 
+COMMON_OPTIONS = {"system", "config", "out", "seed", "dt", "t_end", "load_swap",
+                  "norm_threshold", "reference_gen"}
+MODELS = {"levels", "ranks", "models"}
+SCENARIO = {"fault_bus", "t_on", "t_clear", "load_level"}
+COMMAND_OPTIONS = {
+    "build": {"levels", "ranks", "angle_threshold", "fault_bus", "t_clear",
+              "rank_tol", "max_rank"},
+    "simulate": MODELS | SCENARIO | {"angle_threshold", "mode"},
+    "cct": MODELS | {"angle_threshold", "fault_bus", "load_level", "mode"},
+    "rank-search": SCENARIO | {"angle_threshold", "mode", "start_rank", "rank_tol", "max_rank"},
+    "threshold-search": MODELS | SCENARIO | {"max_threshold", "max_error", "metric"},
+    "sweep": MODELS | {"angle_threshold", "fault_bus", "sweep_levels"},
+    "compare": MODELS | SCENARIO | {"angle_threshold", "modes", "repetitions"},
+}
+# flags the handlers never read; every command also lost --horizon.  On
+# threshold-search and sweep, argparse reads --mode as an abbreviation of
+# --models, so it is not listed there
+REMOVED_FLAGS = {
+    "cct": ("--t-on", "--t-clear"),
+    "rank-search": ("--levels", "--ranks"),
+    "threshold-search": ("--angle-threshold",),
+    "sweep": ("--t-on", "--t-clear", "--load-level"),
+    "compare": ("--mode",),  # ambiguous: --models or --modes
+}
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -33,6 +58,24 @@ class TestParsing:
              "--t-clear", "0.1", "--mode", "bogus", "--out", tmp_path]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_command_options(self, command):
+        # each command takes only the flags its handler reads
+        _, commands = cli._parser()
+        dests = {a.dest for a in commands[command]._actions if a.dest != "help"}
+        assert dests == COMMON_OPTIONS | COMMAND_OPTIONS[command]
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(COMMAND_OPTIONS)
+        for flag in ["--horizon", *REMOVED_FLAGS.get(command, ())]
+    ])
+    def test_removed_flag_exit_two(self, tmp_path, capsys, command, flag):
+        code = run_cli([command, "--system", "wscc9", flag, "1", "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err  # argparse's usage error
+        assert not any(tmp_path.iterdir())
 
 
 class TestErrors:
@@ -68,10 +111,43 @@ class TestErrors:
         code = run_cli(["sweep", "--system", "wscc9", *FAST, "--out", tmp_path / "o"])
         assert code == 2
 
+    @pytest.mark.parametrize("command,dt", [("simulate", "0"), ("simulate", "-0.01"),
+                                            ("cct", "0"), ("cct", "-0.01")])
+    def test_nonpositive_dt_exit_two(self, tmp_path, capsys, command, dt):
+        clear = ["--t-clear", "0.1"] if command == "simulate" else []
+        code = run_cli([command, "--system", "wscc9", "--fault-bus", "7", *clear,
+                        "--mode", "force_full", "--dt", dt, "--out", tmp_path])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "dt must be > 0"
+
+    @pytest.mark.parametrize("argv", [
+        ["rank-search", "--fault-bus", "7", "--t-clear", "0.1", "--start-rank", "3",
+         "--max-rank", "2"],
+        ["build", "--ranks", "auto", "--levels", "1.0", "--t-clear", "0.1", "--max-rank", "0"],
+    ], ids=["rank_search", "build_auto"])
+    def test_empty_rank_range_exit_two(self, tmp_path, capsys, argv):
+        code = run_cli([*argv, "--system", "wscc9", "--out", tmp_path])
+        assert code == 2
+        assert "> max rank" in json.loads(capsys.readouterr().err)["message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sweep-levels", "0.8:1.2:0"],
+        ["sweep", "--sweep-levels", "1.2:0.8:0.05"],
+        ["threshold-search", "--t-clear", "0.1", "--max-threshold", "0.5", *FAST],
+    ], ids=["sweep_zero_step", "sweep_descending", "threshold_below_start"])
+    def test_empty_study_range_exit_two(self, tmp_path, argv):
+        # rejected before any run, so no report is written
+        code = run_cli([*argv, "--system", "wscc9", "--fault-bus", "7", "--out", tmp_path])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "cfg",
-        [{"no_such_flag": 1}, {"dt": "fast"}, {"command": "build"}, {"fault_bus": 7.5}],
-        ids=["unknown_key", "bad_type", "command", "fractional_bus"],
+        [{"no_such_flag": 1}, {"dt": "fast"}, {"command": "build"}, {"fault_bus": 7.5},
+         {"horizon": 16.0}, {"dt": None}, {"t_end": "soon"}],
+        ids=["unknown_key", "bad_type", "command", "fractional_bus",
+             "removed_flag", "null_default", "bad_type_overridden"],
     )
     def test_bad_config_key(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
@@ -88,8 +164,8 @@ class TestErrors:
         # a JSON string goes through the flag's type, as on the command
         # line, and null leaves a flag that defaults to None unset
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"fault_bus": "7", "t_end": None}))
-        args = ["simulate", "--system", "wscc9", "--t-clear", "0.1", "--horizon", "0.3",
+        cfgp.write_text(json.dumps({"fault_bus": "7", "reference_gen": None}))
+        args = ["simulate", "--system", "wscc9", "--t-clear", "0.1", "--t-end", "0.3",
                 "--mode", "force_full"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(args + ["--config", cfgp, "--out", a]) == 0
@@ -133,9 +209,7 @@ class TestSimulate:
         # argparse accepts a unique prefix of a flag; it still counts as given
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"t_end": 1.0, "t_clear": 0.2}))
-        parser, commands = cli._parser()
-        argv = ["simulate", "--system", "wscc9", "--config", str(cfgp), *flag]
-        args = cli._apply_config_file(parser.parse_args(argv), argv, commands["simulate"])
+        args = cli._parse(["simulate", "--system", "wscc9", "--config", str(cfgp), *flag])
         assert (args.t_end, args.t_clear) == (0.5, 0.2)
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -209,7 +283,7 @@ class TestBuildAndConsumers:
         out = tmp_path / "c"
         code = run_cli(
             ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "force_full",
-             "--horizon", "6.0", "--out", out, *FAST]
+             "--t-end", "6.0", "--out", out, *FAST]
         )
         assert code == 0
         rep = json.loads(next(out.glob("cct_report_*.json")).read_text())

@@ -222,6 +222,13 @@ class TestRunAdaptive:
         with pytest.raises(ValueError, match="grid"):
             sim.run_adaptive(wscc_sys, None, scn, pol)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_bad_dt_rejected(self, wscc_sys, dt):
+        pol = sim.SwitchPolicy(mode="force_full")
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=1.0)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            sim.run_adaptive(wscc_sys, None, scn, pol, dt)
+
     def test_wrong_load_level_rejected(self, wscc_sys):
         pol = sim.SwitchPolicy(mode="force_full")
         scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=1.0, load_level=0.9)

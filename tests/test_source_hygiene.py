@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, every ``__all__`` entry resolves,
-and every function the benchmark's tracer wraps exists.
+every function the benchmark's tracer wraps exists, and every flag the
+benchmark passes to a CLI command is an option of that command.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tensorsim"
 TRACER = ROOT / "perfbench" / "tracer.py"
+BENCH_ARGV_FILES = [ROOT / "perfbench" / "bench.py", ROOT / "perfbench" / "tests" / "test_bench.py"]
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -73,3 +75,24 @@ def test_tracer_layers_resolve():
     pairs = [(ast.literal_eval(e.elts[0]), ast.literal_eval(e.elts[1])) for e in layers.elts]
     missing = [f"{m}.{a}" for m, a in pairs if not callable(getattr(_module(m), a, None))]
     assert not missing, f"perfbench/tracer.py wraps names tensorsim lacks: {missing}"
+
+
+@pytest.mark.parametrize("path", BENCH_ARGV_FILES, ids=lambda p: p.name)
+def test_bench_flags_resolve(path):
+    # a flag removed from a command would fail every benchmark op that
+    # passes it; a list literal that starts with a command name is read as
+    # that command's argv
+    _, commands = _module("cli")._parser()
+    found, unknown = 0, []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in commands):
+            continue
+        found += 1
+        command = commands[node.elts[0].value]
+        flags = [e.value for e in node.elts if isinstance(e, ast.Constant)
+                 and isinstance(e.value, str) and e.value.startswith("--")]
+        unknown += [f"{node.elts[0].value} {f}" for f in flags
+                    if f not in command._option_string_actions]
+    assert found, f"{path.name}: no CLI argv found"
+    assert not unknown, f"{path.name} passes flags the CLI lacks: {unknown}"

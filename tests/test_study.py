@@ -130,6 +130,13 @@ class TestRankSweepCore:
         assert all("max_rms_deg" in row for row in res.curve)
         assert isinstance(res.monotonicity_violations, list)  # logged, never fatal
 
+    def test_empty_rank_range_rejected(self, wscc_sys, monkeypatch):
+        # rejected before the full-model baseline run
+        monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a run started"))
+        scn = sim.Scenario(fault_bus=7, t_clear=0.08, t_end=2.0)
+        with pytest.raises(ValueError, match="start rank 3 > max rank 2"):
+            study.rank_search(wscc_sys, scn, sim.SwitchPolicy(), start_rank=3, max_rank=2)
+
 
 class TestThresholdSearch:
     def test_infinite_band_returns_upper_bound(self, wscc_sys, wscc_model_set):
@@ -165,6 +172,18 @@ class TestThresholdSearch:
             study.threshold_search(
                 wscc_sys, wscc_model_set, scn, sim.SwitchPolicy(), metric="peak",
             )
+
+
+    @pytest.mark.parametrize("kw", [dict(max_deg=0.5), dict(step_deg=0.0), dict(step_deg=-1.0)],
+                             ids=["max_below_start", "zero_step", "negative_step"])
+    def test_empty_range_rejected(self, wscc_sys, monkeypatch, kw):
+        # a step that does not advance would loop for ever while the error
+        # stays in band; both are rejected before the baseline run
+        monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a run started"))
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=2.0)
+        with pytest.raises(ValueError, match="empty threshold range"):
+            study.threshold_search(wscc_sys, None, scn, sim.SwitchPolicy(),
+                                   max_error_deg=float("inf"), **kw)
 
 
 class TestTiming:

@@ -8,12 +8,9 @@ from tensorsim.tensor_ops import (
     cp_exact,
     cp_mode1_matrix,
     cp_reconstruct,
-    dump_cp_factors,
-    dump_tensor,
     khatri_rao,
     khatri_rao_list,
     kron,
-    load_tensor,
     matricize_mode1,
     mode_k_product,
     tensorize,
@@ -308,20 +305,3 @@ class TestCpExact:
         assert f.converged and f.fit_history.size == 0  # no ALS iterations
         assert np.max(np.abs(cp_reconstruct(f).array - t.array)) < 1e-13
 
-
-class TestDump:
-    def test_tensor_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        t = Tensor(rng.standard_normal((3, 2, 2)))
-        p = tmp_path / "t.txt"
-        dump_tensor(t, p)
-        back = load_tensor(p)
-        assert back.dims == t.dims
-        assert np.array_equal(back.array, t.array)
-
-    def test_factor_dump_writes(self, tmp_path):
-        f = cp_exact(Tensor(np.arange(8.0).reshape(2, 2, 2)))
-        p = tmp_path / "f.txt"
-        dump_cp_factors(f, p)
-        head = p.read_text().splitlines()[0].split()
-        assert head == [str(f.rank), "3"]
