@@ -72,8 +72,9 @@ def wscc9_spec() -> pm.SystemSpec:
     return pm.parse_system(wscc9(), source="wscc9")
 
 
-def synthetic_ring(n_machines: int = 33, seed: int = 7, n_study: int = 1) -> dict:
-    """Ring of generator buses, one machine and one load per bus.
+def synthetic_ring(n_machines: int = 33, seed: int = 7) -> dict:
+    """Ring of generator buses, one machine and one load per bus; machine
+    G1, at the slack bus, is the study area.
 
     Machine ``ke`` values are computed self-excited (``ke = -se(efd0)``
     at the solved base operating point) so the open-loop exciters rest at
@@ -114,8 +115,8 @@ def synthetic_ring(n_machines: int = 33, seed: int = 7, n_study: int = 1) -> dic
         "branches": branches,
         "machines": machines,
         "areas": {
-            "study": [f"G{i}" for i in range(1, n_study + 1)],
-            "external": [f"G{i}" for i in range(n_study + 1, n_machines + 1)],
+            "study": ["G1"],
+            "external": [f"G{i}" for i in range(2, n_machines + 1)],
         },
     }
 
@@ -136,10 +137,8 @@ def synthetic_ring(n_machines: int = 33, seed: int = 7, n_study: int = 1) -> dic
     return raw
 
 
-def synthetic_ring_spec(n_machines: int = 33, seed: int = 7, n_study: int = 1) -> pm.SystemSpec:
-    return pm.parse_system(
-        synthetic_ring(n_machines, seed, n_study), source="synthetic_ring"
-    )
+def synthetic_ring_spec(n_machines: int = 33, seed: int = 7) -> pm.SystemSpec:
+    return pm.parse_system(synthetic_ring(n_machines, seed), source="synthetic_ring")
 
 
 def write_case(raw: dict, path) -> None:

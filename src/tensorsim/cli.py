@@ -273,12 +273,6 @@ def _model_set(args, sys):
     return ty.build_model_set(sys, levels=levels, ranks=ranks, seed=args.seed)
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
-
-
 def _meta(cfg_hash: str, seed: int) -> dict:
     return {"version": __version__, "config_hash": cfg_hash, "seed": seed}
 
@@ -327,7 +321,7 @@ def _cmd_build(args, outdir, cfg_hash):
         models_file=model_path.name,
         **extras,
     )
-    _write_json(outdir / "build_report.json", report)
+    st.write_json(outdir / "build_report.json", report)
     return EXIT_OK
 
 
@@ -354,7 +348,7 @@ def _cmd_simulate(args, outdir, cfg_hash):
                   "t_clear": scn.t_clear, "t_end": scn.t_end,
                   "load_level": scn.load_level},
     )
-    _write_json(outdir / "simulate_report.json", report)
+    st.write_json(outdir / "simulate_report.json", report)
     return EXIT_OK
 
 
@@ -378,7 +372,7 @@ def _cmd_cct(args, outdir, cfg_hash):
         capped=res.capped,
         runs=[{"duration_s": d, "stable": s} for d, s in res.runs],
     )
-    _write_json(outdir / f"cct_report_{cfg_hash}.json", report)
+    st.write_json(outdir / f"cct_report_{cfg_hash}.json", report)
     return EXIT_OK
 
 
@@ -398,7 +392,7 @@ def _cmd_rank_search(args, outdir, cfg_hash):
     report = dict(_meta(cfg_hash, args.seed))
     report.update(command="rank-search", r2=res.r2, r3=res.r3,
                   max_rms_deg=res.max_rms_deg, stopped=res.stopped)
-    _write_json(outdir / f"rank_report_{cfg_hash}.json", report)
+    st.write_json(outdir / f"rank_report_{cfg_hash}.json", report)
     st.StudyReport("rank_curve", {"config_hash": cfg_hash, "seed": args.seed},
                    [{"r2": c["r2"], "r3": c["r3"], "max_rms_deg": c["max_rms_deg"]}
                     for c in res.curve]).write_csv(outdir / f"rank_curve_{cfg_hash}.csv")
@@ -421,7 +415,7 @@ def _cmd_threshold_search(args, outdir, cfg_hash):
     report = dict(_meta(cfg_hash, args.seed))
     report.update(command="threshold-search", threshold_deg=res.threshold_deg,
                   satisfied=res.satisfied, metric=res.metric)
-    _write_json(outdir / f"threshold_report_{cfg_hash}.json", report)
+    st.write_json(outdir / f"threshold_report_{cfg_hash}.json", report)
     st.StudyReport("threshold_curve", {"config_hash": cfg_hash, "seed": args.seed},
                    res.curve).write_csv(outdir / f"threshold_curve_{cfg_hash}.csv")
     return EXIT_OK
@@ -471,7 +465,7 @@ def _cmd_compare(args, outdir, cfg_hash):
         unfolded_taylor=st.count_flops_unfolded(n),
         full=st.count_flops_full(sys_m),
     )
-    _write_json(outdir / f"compare_flops_{cfg_hash}.json", flops)
+    st.write_json(outdir / f"compare_flops_{cfg_hash}.json", flops)
     # measured wall times are a measurement, not a reproducible payload;
     # they live in their own file, excluded from byte-identity guarantees
     times = dict(_meta(cfg_hash, args.seed))
@@ -480,7 +474,7 @@ def _cmd_compare(args, outdir, cfg_hash):
         rows=[{"mode": r.mode, "median_s": r.median_s, "times_s": r.times_s,
                "steps": r.steps} for r in rows],
     )
-    _write_json(outdir / f"compare_times_{cfg_hash}.json", times)
+    st.write_json(outdir / f"compare_times_{cfg_hash}.json", times)
     st.StudyReport(
         "timing", {"config_hash": cfg_hash, "seed": args.seed},
         [{"mode": r.mode, "median_s": r.median_s, "flops_per_eval": r.flops_per_eval}

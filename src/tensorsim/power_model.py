@@ -343,15 +343,11 @@ class PowerFlowSolution:
     machine_s: np.ndarray    # complex generated power per machine
 
 
-def solve_power_flow(
-    spec: SystemSpec,
-    load_level: float = 1.0,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> PowerFlowSolution:
+def solve_power_flow(spec: SystemSpec, load_level: float = 1.0) -> PowerFlowSolution:
     """Newton-Raphson power flow with all loads and PV-bus generation
-    scaled by ``load_level`` (the slack absorbs the residual)."""
+    scaled by ``load_level`` (the slack absorbs the residual), to a
+    mismatch of 1e-10 within 50 iterations."""
+    tol, max_iter = 1e-10, 50
     n = len(spec.buses)
     idx = spec.bus_index()
     ybus = build_ybus(spec)
@@ -620,9 +616,10 @@ def apply_fault(sys: SystemModel, bus: int) -> np.ndarray:
     return build_reduced_admittance(sys.spec, sys.pf, fault_bus=bus)
 
 
-def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution, *, residual_tol: float = 1e-8) -> SystemModel:
+def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution) -> SystemModel:
     """Back-solve per-machine states from the solved terminal conditions
-    and verify the result is an equilibrium of the dynamic model.
+    and verify the result is an equilibrium of the dynamic model, to a
+    residual of 1e-8.
 
     The rotor angle comes from the effective quadrature reactance
     ``xdp + (xq - xqp)``, which keeps the stator interface (built on xdp)
@@ -677,10 +674,8 @@ def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution, *, residual_tol: f
         external=spec.external,
     )
     resid = float(np.max(np.abs(_rhs(sys, y_red, x0))))
-    if resid > residual_tol:
-        raise EquilibriumError(
-            f"equilibrium residual {resid:.3e} exceeds {residual_tol:.1e}"
-        )
+    if resid > 1e-8:
+        raise EquilibriumError(f"equilibrium residual {resid:.3e} exceeds 1.0e-08")
     return sys
 
 

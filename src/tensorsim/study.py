@@ -42,6 +42,7 @@ __all__ = [
     "threshold_search",
     "timing_compare",
     "load_sweep",
+    "write_json",
     "count_flops_full",
     "count_flops_reduced",
     "count_flops_linear",
@@ -111,7 +112,7 @@ class CctResult:
     runs: list = field(default_factory=list)
 
 
-def _stable(sys, model_set, policy, bus, steps, dt, t_end, angle_limit_deg):
+def _stable(sys, model_set, policy, bus, steps, dt, t_end):
     scn = sim.Scenario(
         fault_bus=bus,
         t_clear=round(steps * dt, 12),
@@ -119,7 +120,7 @@ def _stable(sys, model_set, policy, bus, steps, dt, t_end, angle_limit_deg):
         load_level=sys.load_level,
     )
     traj = sim.run_adaptive(
-        sys, model_set, scn, policy, dt, instability_stop_deg=angle_limit_deg
+        sys, model_set, scn, policy, dt, instability_stop_deg=180.0
     )
     return traj.completed
 
@@ -133,12 +134,11 @@ def cct_search(
     dt: float = 0.01,
     t_end: float = 16.0,
     max_duration: float = 2.0,
-    angle_limit_deg: float = 180.0,
 ) -> CctResult:
     """Bisection on the fault duration, quantized to integration steps.
 
     A run is unstable when any study-area rotor angle departs more than
-    ``angle_limit_deg`` from the reference within the horizon (or the
+    180 degrees from the reference within the horizon (or the
     state blows up).  The returned duration is the longest stable one;
     the bracket (stable at cct, unstable one step later) is part of the
     result for post-hoc confirmation.
@@ -146,7 +146,7 @@ def cct_search(
     runs = []
 
     def stable(steps):
-        ok = _stable(sys, model_set, policy, fault_bus, steps, dt, t_end, angle_limit_deg)
+        ok = _stable(sys, model_set, policy, fault_bus, steps, dt, t_end)
         runs.append((round(steps * dt, 12), bool(ok)))
         return ok
 
@@ -189,9 +189,6 @@ class RankSearchResult:
     max_rms_deg: float
     curve: list  # rows: {"r2", "r3", "max_rms_deg", "fits"}
     stopped: str  # "improvement_below_tol" | "max_rank"
-    # best-per-r2 error should not increase with rank (5% slack for ALS
-    # local minima); offenders are recorded here, never fatal
-    monotonicity_violations: list = field(default_factory=list)
 
 
 def _rank_sweep(score, start_rank, improvement_tol, r3_offsets, max_rank):
@@ -263,17 +260,8 @@ def rank_search(
     chosen, curve, stopped = _rank_sweep(
         score, start_rank, improvement_tol_deg, r3_offsets, max_rank
     )
-    best = {}
-    for row in curve:
-        best[row["r2"]] = min(best.get(row["r2"], float("inf")), row["max_rms_deg"])
-    violations = [
-        {"r2": r2, "prev": best[r2 - 1], "now": best[r2]}
-        for r2 in sorted(best)
-        if r2 - 1 in best and best[r2] > 1.05 * best[r2 - 1]
-    ]
     return RankSearchResult(
-        r2=chosen[1], r3=chosen[2], max_rms_deg=chosen[0], curve=curve,
-        stopped=stopped, monotonicity_violations=violations,
+        r2=chosen[1], r3=chosen[2], max_rms_deg=chosen[0], curve=curve, stopped=stopped,
     )
 
 
@@ -465,21 +453,16 @@ class StudyReport:
     rows: list
     extras: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def write_json(self, path) -> None:
         from . import __version__
 
-        payload = {
+        write_json(path, {
             "kind": self.kind,
             "version": __version__,
             "config": self.config,
             "rows": self.rows,
             "extras": self.extras,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        })
 
     def write_csv(self, path) -> None:
         if not self.rows:
@@ -494,6 +477,14 @@ class StudyReport:
             fh.write(",".join(keys) + "\n")
             for row in self.rows:
                 fh.write(",".join(_csv_cell(row.get(k)) for k in keys) + "\n")
+
+
+def write_json(path, payload: dict) -> None:
+    """The one JSON report format: sorted keys, two-space indent, numpy
+    scalars as floats, and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, default=float)
+        fh.write("\n")
 
 
 def _csv_cell(v) -> str:

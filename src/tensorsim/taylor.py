@@ -14,12 +14,14 @@ matrices.  The derivative tensors carry the 1/k! Taylor factors, making
 the truncated series a genuine third-order expansion.
 
 One assembler turns (column multiset, rows) pairs into coordinate-format
-derivative entries.  Up to :data:`DENSE_STATE_LIMIT` states it gets every
-multiset of the nonlinear columns, runs in extended precision with a
-Richardson pass at both orders, and the entries fill dense tensors.
-Larger systems skip the raw dense tensors: the multisets come from the
-machine-pair coupling structure, the stencil runs in double precision
-with the Richardson pass at order 2 only, and the entries stay a sparse
+derivative entries of orders 1 to 3.  The Jacobian is its order-1 term
+over every column, in extended precision with a Richardson pass, at any
+size.  Up to :data:`DENSE_STATE_LIMIT` states the order-2 and order-3
+terms take every multiset of the nonlinear columns, in extended precision
+with a Richardson pass, and fill dense tensors.  Larger systems skip
+those raw dense tensors: the multisets come from the machine-pair
+coupling structure, the stencil runs in double precision with the
+Richardson pass at order 2 only, and the entries stay a sparse
 coordinate list.  That path requires every exciter voltage loop to be
 open (ka = 0), since terminal-voltage feedback couples all machine
 triples and destroys the sparsity.
@@ -59,7 +61,6 @@ __all__ = [
     "TaylorModel",
     "HybridModel",
     "ModelSet",
-    "fd_jacobian",
     "fd_derivative_tensor",
     "jacobian",
     "nonlinear_state_columns",
@@ -78,9 +79,8 @@ __all__ = [
 
 DENSE_STATE_LIMIT = 60  # raw n^3 / n^4 tensors allowed up to this many states
 
-JAC_STEP = 1e-6
-QUAD_STEP = 1e-4
-CUBIC_STEP = 1e-3
+# relative central-difference step per derivative order
+_FD_STEPS = {1: 1e-4, 2: 1e-4, 3: 1e-3}
 
 
 class NumericalError(RuntimeError):
@@ -95,22 +95,7 @@ class ModelBuildError(RuntimeError):
 # finite differences
 
 
-def fd_jacobian(f_batch, x0: np.ndarray, *, step: float = JAC_STEP) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step
-    ``max(step, step*|x0_j|)``.  ``f_batch`` maps (B, n) -> (B, n);
-    probes inherit the dtype of ``x0``."""
-    x0 = np.asarray(x0)
-    n = x0.size
-    h = np.maximum(step, step * np.abs(x0)).astype(x0.dtype)
-    probes = np.vstack([x0 + np.diag(h), x0 - np.diag(h)])
-    vals = f_batch(probes)
-    jac = (vals[:n] - vals[n:]).T / (2.0 * h)
-    if not np.all(np.isfinite(jac)):
-        raise NumericalError("non-finite entries in Jacobian")
-    return jac
-
-
-def _multiset_values(f_batch, x0, h, tuples, order, chunk=4096):
+def _multiset_values(f_batch, x0, h, tuples, order):
     """Symmetric derivative values for column multisets.
 
     Returns (len(tuples), n) with entry ``[t, i] = (1/order!) *
@@ -125,6 +110,7 @@ def _multiset_values(f_batch, x0, h, tuples, order, chunk=4096):
     fact = float(np.prod(range(1, order + 1)))
     out = np.zeros((len(tuples), n), dtype=x0.dtype)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=order)))
+    chunk = 4096
     for lo in range(0, len(tuples), chunk):
         tt = tuples[lo:lo + chunk]
         hh = h[tt]  # (T, order)
@@ -147,8 +133,7 @@ def _derivative_coo(f_batch, x0, order: int, entries, *, refine: bool):
     column multiset with the rows to keep; its one stencil value serves
     every permutation.  Steps are ``step * max(1, |x0_j|)`` with the
     order's step; ``refine`` adds the Richardson pass."""
-    step = QUAD_STEP if order == 2 else CUBIC_STEP
-    h = step * np.maximum(1.0, np.abs(x0))
+    h = _FD_STEPS[order] * np.maximum(1.0, np.abs(x0))
     tuples = [tup for tup, _ in entries]
     vals = _multiset_values(f_batch, x0, h, tuples, order)
     if refine:  # (4 D(h/2) - D(h)) / 3 cancels the h^2 truncation term
@@ -168,11 +153,12 @@ def _derivative_coo(f_batch, x0, order: int, entries, *, refine: bool):
 
 def fd_derivative_tensor(f_batch, x0: np.ndarray, order: int, *, columns=None,
                          refine: bool = False) -> Tensor:
-    """Dense symmetrized derivative tensor of the given order, scaled by
-    1/order!.  ``columns`` limits the probed coordinates (all other slices
-    are structurally zero); the dtype of ``x0`` flows through the stencil."""
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
+    """Dense symmetrized derivative tensor of order 1 (the Jacobian), 2 or
+    3, scaled by 1/order!.  ``columns`` limits the probed coordinates (all
+    other slices are structurally zero); the dtype of ``x0`` flows through
+    the stencil."""
+    if order not in _FD_STEPS:
+        raise ValueError("order must be 1, 2 or 3")
     x0 = np.asarray(x0)
     n = x0.size
     cols = np.arange(n) if columns is None else np.asarray(sorted(columns), dtype=int)
@@ -194,20 +180,22 @@ def _prefault_batch(sys: pm.SystemModel):
 
 
 def jacobian(sys: pm.SystemModel) -> np.ndarray:
-    """Jacobian of the pre-fault dynamics at the equilibrium.
+    """Jacobian of the pre-fault dynamics at the equilibrium: the order-1
+    term of the derivative assembler, at any size.
 
     Richardson-extrapolated central differences (4 J(h/2) - J(h)) / 3 with
     h = 1e-4, in extended precision: the extrapolation kills the h^2 term
-    and the larger step keeps cancellation noise low, so entries come out
-    about 1e4 times more accurate than the plain 1e-6 stencil of
-    :func:`fd_jacobian`, keeping fourth-order remainders visible.
+    and the step keeps cancellation noise low, so entries come out about
+    1e4 times more accurate than a plain 1e-6 stencil, keeping
+    fourth-order remainders visible.
+
+    The result is column-major: BLAS sums ``a1 @ dx`` in an order that
+    depends on the layout, so the layout is part of every trajectory's
+    bytes, and model sets persist it.
     """
-    f = _prefault_batch(sys)
-    x0 = sys.x0.astype(np.longdouble)
-    step = 1e-4
-    j_h = fd_jacobian(f, x0, step=step)
-    j_h2 = fd_jacobian(f, x0, step=step / 2.0)
-    return np.asarray((4.0 * j_h2 - j_h) / 3.0, dtype=float)
+    return np.asfortranarray(fd_derivative_tensor(
+        _prefault_batch(sys), sys.x0.astype(np.longdouble), 1, refine=True
+    ).array)
 
 
 def nonlinear_state_columns(sys: pm.SystemModel) -> np.ndarray:
@@ -222,14 +210,13 @@ def nonlinear_state_columns(sys: pm.SystemModel) -> np.ndarray:
     return np.asarray(cols, dtype=int)
 
 
-def taylor_tensors(sys: pm.SystemModel, order: int, *, extended: bool = True) -> Tensor:
+def taylor_tensors(sys: pm.SystemModel, order: int) -> Tensor:
     """Dense symmetrized derivative tensor (with the 1/order! factor) of
     the pre-fault dynamics around ``sys.x0``.
 
     Runs in extended precision with a Richardson pass at both orders: in
     plain double the high-gain exciter rows bottom out near 1e-6 per
-    entry, enough to bury fourth-order remainders.  ``extended=False``
-    gives the plain double-precision stencil without refinement.
+    entry, enough to bury fourth-order remainders.
     """
     if sys.n_states > DENSE_STATE_LIMIT:
         raise ModelBuildError(
@@ -237,13 +224,12 @@ def taylor_tensors(sys: pm.SystemModel, order: int, *, extended: bool = True) ->
             f"(system has {sys.n_states}); use build_taylor_model, which "
             "switches to the structured sparse path"
         )
-    x0 = sys.x0.astype(np.longdouble) if extended else sys.x0
     return fd_derivative_tensor(
         _prefault_batch(sys),
-        x0,
+        sys.x0.astype(np.longdouble),
         order,
         columns=nonlinear_state_columns(sys),
-        refine=extended,
+        refine=True,
     )
 
 
@@ -485,6 +471,8 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
     raw oracle tensors, or ``(coords, values)`` pairs.  ``ranks`` is
     ``(r2, r3)`` for ALS compression seeded with ``seed`` and ``seed + 1``,
     or ``"full"`` for the exact constructive factors of dense terms.
+    ``cp_options`` reach the ALS kernel of either format unchanged, so an
+    unknown option raises ``TypeError``.
     """
     a1, t2, t3 = terms
     opts = dict(cp_options or {})
@@ -496,9 +484,8 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
         f3 = cp_decompose(t3, int(ranks[1]), seed=seed + 1, **opts)
     else:
         n = sys.n_states
-        als = {k: v for k, v in opts.items() if k in ("max_iters", "fit_tolerance", "restarts")}
-        f2 = _cp_als_coo((n,) * 3, *t2, int(ranks[0]), seed=seed, **als)
-        f3 = _cp_als_coo((n,) * 4, *t3, int(ranks[1]), seed=seed + 1, **als)
+        f2 = _cp_als_coo((n,) * 3, *t2, int(ranks[0]), seed=seed, **opts)
+        f3 = _cp_als_coo((n,) * 4, *t3, int(ranks[1]), seed=seed + 1, **opts)
     return TaylorModel(
         load_level=sys.load_level,
         x0=sys.x0.copy(),
@@ -532,7 +519,6 @@ class HybridModel:
     same state vector."""
 
     taylor: TaylorModel
-    nonlinear_ids: tuple
     row_mask: np.ndarray  # True rows come from the full model
 
     @property
@@ -541,15 +527,14 @@ class HybridModel:
 
 
 def build_hybrid(sys: pm.SystemModel, taylor: TaylorModel, nonlinear_ids) -> HybridModel:
-    ids = tuple(sorted(set(nonlinear_ids)))
-    missing = set(sys.study) - set(ids)
+    missing = set(sys.study) - set(nonlinear_ids)
     if missing:
         raise ValueError(f"study-area machines must stay nonlinear: {sorted(missing)}")
     mask = np.zeros(sys.n_states, dtype=bool)
-    for g in ids:
+    for g in set(nonlinear_ids):
         k = sys.machine_pos(g)
         mask[k * pm.N_STATES:(k + 1) * pm.N_STATES] = True
-    return HybridModel(taylor=taylor, nonlinear_ids=ids, row_mask=mask)
+    return HybridModel(taylor=taylor, row_mask=mask)
 
 
 def hybrid_rhs(h: HybridModel, x: np.ndarray, sys: pm.SystemModel) -> np.ndarray:

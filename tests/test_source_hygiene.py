@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, every ``__all__`` entry resolves,
-every function the benchmark's tracer wraps exists, and every flag the
-benchmark passes to a CLI command is an option of that command.
+every function the benchmark's tracer wraps exists, every flag the
+benchmark passes to a CLI command is an option of that command, and
+every optional parameter of the library is set by some caller.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tensorsim"
 TRACER = ROOT / "perfbench" / "tracer.py"
 BENCH_ARGV_FILES = [ROOT / "perfbench" / "bench.py", ROOT / "perfbench" / "tests" / "test_bench.py"]
+CALLER_DIRS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -96,3 +98,47 @@ def test_bench_flags_resolve(path):
                     if f not in command._option_string_actions]
     assert found, f"{path.name}: no CLI argv found"
     assert not unknown, f"{path.name} passes flags the CLI lacks: {unknown}"
+
+
+def _optional_params(fn, method):
+    """(name, positional index or None) of each keyword-only and each
+    defaulted positional parameter; a method's index skips its receiver."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = 1 if method else 0
+    first_defaulted = len(positional) - len(a.defaults)
+    out = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first_defaulted]
+    return out + [(p.arg, None) for p in a.kwonlyargs]
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_optional_params_are_set():
+    # a default no caller overrides is a constant with a knob on it; a call
+    # with ** or * may set anything, so it counts as setting every parameter
+    calls = {}
+    for path in sorted(p for d in CALLER_DIRS for p in d.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
+
+    def sets(call, name, index):
+        if any(k.arg in (None, name) for k in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return index is not None and (starred or len(call.args) > index)
+
+    unset = []
+    for name in MODULES:
+        tree = _parse(name)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for param, index in _optional_params(fn, id(fn) in methods):
+                if not any(sets(c, param, index) for c in calls.get(fn.name, [])):
+                    unset.append(f"{fn.name}.{param}")
+    assert not unset, f"optional parameters no caller sets: {sorted(unset)}"

@@ -70,8 +70,8 @@ class TestCct:
     def test_bracket_confirmation(self, wscc_sys):
         pol = sim.SwitchPolicy(mode="force_full")
         res = study.cct_search(wscc_sys, None, pol, 7)
-        assert study._stable(wscc_sys, None, pol, 7, res.stable_steps, 0.01, 16.0, 180.0)
-        assert not study._stable(wscc_sys, None, pol, 7, res.unstable_steps, 0.01, 16.0, 180.0)
+        assert study._stable(wscc_sys, None, pol, 7, res.stable_steps, 0.01, 16.0)
+        assert not study._stable(wscc_sys, None, pol, 7, res.unstable_steps, 0.01, 16.0)
         assert res.unstable_steps == res.stable_steps + 1
 
     def test_unstable_at_zero_raises(self, wscc_sys, monkeypatch):
@@ -128,7 +128,6 @@ class TestRankSweepCore:
         assert res.r2 >= 2
         assert len(res.curve) >= 1
         assert all("max_rms_deg" in row for row in res.curve)
-        assert isinstance(res.monotonicity_violations, list)  # logged, never fatal
 
     def test_empty_rank_range_rejected(self, wscc_sys, monkeypatch):
         # rejected before the full-model baseline run

@@ -18,7 +18,7 @@ class TestFdEngine:
         # sixth third derivative 0
         f = lambda x: np.atleast_2d(np.asarray(x)) ** 2
         x0 = np.array([1.0])
-        a1 = taylor.fd_jacobian(f, x0)
+        a1 = taylor.fd_derivative_tensor(f, x0, 1).array
         t2 = taylor.fd_derivative_tensor(f, x0, 2)
         t3 = taylor.fd_derivative_tensor(f, x0, 3)
         assert abs(a1[0, 0] - 2.0) < 1e-8
@@ -48,20 +48,24 @@ class TestFdEngine:
         assert np.max(np.abs(t2.array - q)) < 1e-7
         assert np.max(np.abs(t3.array - c)) < 1e-6
 
-    def test_richardson_step_halving(self, wscc_sys):
-        # plain central differences converge at O(h^2): halving h shrinks
-        # the change by about 4x
-        f = lambda x: pm._rhs(wscc_sys, wscc_sys.y_red, np.asarray(x))
-        x0 = wscc_sys.x0
-        j1 = taylor.fd_jacobian(f, x0, step=2e-3)
-        j2 = taylor.fd_jacobian(f, x0, step=1e-3)
-        j3 = taylor.fd_jacobian(f, x0, step=5e-4)
-        d12 = np.linalg.norm(j2 - j1)
-        d23 = np.linalg.norm(j3 - j2)
-        assert 2.8 < d12 / d23 < 5.5
+    def test_richardson_refines_first_derivative(self):
+        # the plain stencil errs by h^2 |f'''| / 6; the Richardson pass cancels
+        # that term and leaves O(h^4) plus rounding
+        f = lambda x: np.sin(np.atleast_2d(np.asarray(x)))
+        x0 = np.array([0.3, 1.1, -2.0, 2.9])
+        plain = taylor.fd_derivative_tensor(f, x0, 1).array
+        refined = taylor.fd_derivative_tensor(f, x0, 1, refine=True).array
+        err_plain = np.abs(np.diag(plain) - np.cos(x0))
+        err_refined = np.abs(np.diag(refined) - np.cos(x0))
+        assert np.all(err_refined * 100.0 <= err_plain)
 
 
 class TestJacobian:
+    def test_column_major(self, wscc_sys):
+        # BLAS sums a1 @ dx in a layout-dependent order; model sets and
+        # trajectories carry the column-major layout's bits
+        assert taylor.jacobian(wscc_sys).flags.f_contiguous
+
     def test_delta_rows(self, wscc_sys):
         a1 = taylor.jacobian(wscc_sys)
         for k in range(3):
@@ -277,6 +281,16 @@ class TestCompress:
         f = cp_decompose(Tensor(np.zeros((3, 3, 3))), 2)
         assert np.all(f.weights == 0)
 
+    @pytest.mark.parametrize("fmt", ["dense", "coo"])
+    def test_unknown_als_option_rejected(self, ring5_sys, fmt):
+        # a misspelt ALS option fails in both kernels instead of being dropped
+        t2, t3 = (taylor.taylor_tensors(ring5_sys, k) for k in (2, 3))
+        if fmt == "coo":
+            t2, t3 = ((np.argwhere(t.array), t.array[t.array != 0]) for t in (t2, t3))
+        terms = (taylor.jacobian(ring5_sys), t2, t3)
+        with pytest.raises(TypeError, match="max_iter"):
+            taylor.compress_taylor_terms(ring5_sys, terms, (2, 2), cp_options={"max_iter": 5})
+
     def test_rank_monotonicity(self, wscc_sys):
         t2 = taylor.taylor_tensors(wscc_sys, 2)
         fits = [
@@ -394,7 +408,10 @@ class TestDenseKernel:
 class TestStructuredPath:
     @pytest.mark.parametrize("order", [2, 3])
     def test_matches_dense_on_open_loop_system(self, ring5_sys, order):
-        dense = taylor.taylor_tensors(ring5_sys, order, extended=False)
+        dense = taylor.fd_derivative_tensor(
+            taylor._prefault_batch(ring5_sys), ring5_sys.x0, order,
+            columns=taylor.nonlinear_state_columns(ring5_sys), refine=order == 2,
+        )
         coords, values = taylor._structured_coo(ring5_sys, order)
         rebuilt = np.zeros(dense.dims)
         rebuilt[tuple(coords.T)] = values
