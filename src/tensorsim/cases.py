@@ -125,14 +125,7 @@ def synthetic_ring(n_machines: int = 33, seed: int = 7) -> dict:
     pf = pm.solve_power_flow(spec, 1.0)
     idx = spec.bus_index()
     for k, mach in enumerate(spec.machines):
-        vbar = pf.v[idx[mach.bus]]
-        ibar = np.conj(pf.machine_s[k] / vbar)
-        xq_eff = mach.xdp + (mach.xq - mach.xqp)
-        delta = np.angle(vbar + 1j * xq_eff * ibar)
-        idq = ibar * np.exp(-1j * (delta - math.pi / 2.0))
-        vdq = vbar * np.exp(-1j * (delta - math.pi / 2.0))
-        eqp = vdq.imag + mach.xdp * idq.real
-        efd0 = eqp + (mach.xd - mach.xdp) * idq.real
+        *_, efd0 = pm._machine_steady_state(mach, pf.v[idx[mach.bus]], pf.machine_s[k])
         raw["machines"][k]["ke"] = -mach.aex * math.exp(mach.bex * efd0)
     return raw
 

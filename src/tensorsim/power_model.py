@@ -616,14 +616,31 @@ def apply_fault(sys: SystemModel, bus: int) -> np.ndarray:
     return build_reduced_admittance(sys.spec, sys.pf, fault_bus=bus)
 
 
-def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution) -> SystemModel:
-    """Back-solve per-machine states from the solved terminal conditions
-    and verify the result is an equilibrium of the dynamic model, to a
-    residual of 1e-8.
+def _machine_steady_state(mach, vbar, s):
+    """Rotor angle, dq-axis currents, q-axis transient EMF and field
+    voltage of one machine at terminal voltage ``vbar`` delivering power
+    ``s``.
 
     The rotor angle comes from the effective quadrature reactance
     ``xdp + (xq - xqp)``, which keeps the stator interface (built on xdp)
     and the rotor flux equations simultaneously at steady state.
+    """
+    ibar = np.conj(s / vbar)
+    xq_eff = mach.xdp + (mach.xq - mach.xqp)
+    delta = np.angle(vbar + 1j * xq_eff * ibar)
+    rot = np.exp(-1j * (delta - math.pi / 2.0))
+    vq = (vbar * rot).imag
+    idq = ibar * rot
+    id_, iq = idq.real, idq.imag
+    eqp = vq + mach.xdp * id_
+    efd = eqp + (mach.xd - mach.xdp) * id_
+    return delta, id_, iq, eqp, efd
+
+
+def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution) -> SystemModel:
+    """Back-solve per-machine states from the solved terminal conditions
+    and verify the result is an equilibrium of the dynamic model, to a
+    residual of 1e-8.
     """
     idx = spec.bus_index()
     machines = []
@@ -631,18 +648,8 @@ def init_equilibrium(spec: SystemSpec, pf: PowerFlowSolution) -> SystemModel:
     x0 = np.zeros(m * N_STATES)
     for k, mach in enumerate(spec.machines):
         vbar = pf.v[idx[mach.bus]]
-        s = pf.machine_s[k]
-        ibar = np.conj(s / vbar)
-        xq_eff = mach.xdp + (mach.xq - mach.xqp)
-        delta = np.angle(vbar + 1j * xq_eff * ibar)
-        rot = np.exp(-1j * (delta - math.pi / 2.0))
-        vdq = vbar * rot
-        idq = ibar * rot
-        vd, vq = vdq.real, vdq.imag
-        id_, iq = idq.real, idq.imag
+        delta, id_, iq, eqp, efd = _machine_steady_state(mach, vbar, pf.machine_s[k])
         edp = (mach.xq - mach.xqp) * iq
-        eqp = vq + mach.xdp * id_
-        efd = eqp + (mach.xd - mach.xdp) * id_
         pe = edp * id_ + eqp * iq
         rf = (mach.kf / mach.tf) * efd
         se = mach.aex * math.exp(mach.bex * efd)

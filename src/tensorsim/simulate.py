@@ -12,26 +12,12 @@ representative model level by more than the configured fraction, the
 Taylor model is swapped for the nearest representative level in the
 direction of the change before the run starts.
 
-:func:`integrate` and :func:`run_adaptive` share one RK4 loop,
-:func:`_march`; ``run_adaptive`` passes it a per-step closure that picks
-the model and logs the switches, and its instability test as the stop.
-
-Settled-state exit: once a step returns its input state bit for bit, at a
-step whose right-hand side no longer depends on the step number (from
-clearing on in ``run_adaptive``, from the start in ``integrate``), every
-later step would repeat it.  The loop then fills the rest of the horizon
-with that state, and ``run_adaptive`` repeats the last model in
-``modes``; states, modes, switch log and flags are those of a run stepped
-to the end.  On ``wscc9`` a zero-duration force_full run settles at a
-step between 4 and 625 of the 1,600 in a 16 s horizon (load levels
-0.8-1.2), and an adaptive one at step 0 at the representative levels
-0.8, 1.0 and 1.2, where the Taylor model is expanded around the run's
-own equilibrium.  At other levels the adaptive run never settles: its
-Taylor model belongs to another level's equilibrium, so the undisturbed
-state drifts (at 0.9, on the 1.0 model, the study-area angles move up
-to 4.0 degrees against the reference machine over 16 s).  Of the 1,302
-runs in the CCT searches of all 81 ``wscc9`` (bus, level) pairs, 108
-settle, all of them zero-duration probes; no run with a fault does.
+:func:`run_adaptive` runs these phases as a plan of segments, each one
+fixed right-hand side stepped by the RK4 loop :func:`_march`;
+:func:`integrate` is a single segment.  Within a segment, a step that
+returns its input state bit for bit would repeat at every later step, so
+the loop fills the rest of the segment with that state: the trajectory is
+the one stepped to the segment's end.
 """
 
 from __future__ import annotations
@@ -58,7 +44,6 @@ __all__ = [
     "SwitchPolicy",
     "SwitchEvent",
     "Trajectory",
-    "rk4_step",
     "integrate",
     "max_rotor_deviation",
     "select_reference_generator",
@@ -117,81 +102,72 @@ class Trajectory:
     states: np.ndarray
     switch_log: list = field(default_factory=list)
     modes: list = field(default_factory=list)  # model mode used on step k
-    completed: bool = True
     blowup_time: float | None = None
     unstable_at: float | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.blowup_time is None and self.unstable_at is None
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
 
-def rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _march(states, dt: float, rhs, stop=None):
+    """RK4 with the pure right-hand side ``rhs`` from ``states[0]`` into
+    the preallocated view ``states[1:]``; returns ``(steps, end)``, the
+    number of steps recorded and why stepping ended.
 
+    ``end`` is None when the view is full, ``"blowup"`` when the next step
+    was not finite (it is not recorded: blow-ups are a legitimate outcome,
+    they signal instability), or the truthy value ``stop(x)``, a pure
+    function of the state tested after each recorded step, returned for
+    the last recorded state.
 
-def _march(x, steps: int, dt: float, step_rhs, *, settled_from: int, stop=None):
-    """RK4 from ``x``; step ``k`` uses the right-hand side ``step_rhs(k, x)``.
-
-    A non-finite state ends the run unrecorded rather than raising:
-    blow-ups are a legitimate outcome (they signal instability).
-    ``stop(x)``, a pure function of the state tested after each recorded
-    step, ends the run too.
-    Returns ``(states, blowup_step, stop_step)``, None for an unused end.
-
-    Settled-state exit: the caller promises that from step
-    ``settled_from`` on, ``step_rhs`` called again with the state it last
-    saw returns the same right-hand side, and that this right-hand side
-    is a pure function of the state.  Then a step at ``k >= settled_from``
-    whose result has the bytes of its input repeats at every later step:
-    the remaining rows are filled with that state, which is finite and
-    which ``stop`` has already passed, and the run returns exactly as if
-    it had been stepped to the end.  Bytes are compared rather than
+    A step whose result has the bytes of its input repeats at every later
+    step, so the rest of the view is filled with that state, which is
+    finite and which ``stop`` has passed.  Bytes are compared rather than
     values so that +0.0 and -0.0 stay apart.
     """
-    x = np.array(x, dtype=float)
-    states = np.empty((steps + 1, x.size))
-    states[0] = x
+    x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x_new = rk4_step(step_rhs(k, x), x, dt)
+        for k in range(1, len(states)):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x_new).all():
-                return states[: k + 1], k + 1, None
-            states[k + 1] = x_new
-            if stop is not None and stop(x_new):
-                return states[: k + 2], None, k + 1
-            if k >= settled_from and x_new.tobytes() == x.tobytes():
-                states[k + 2:] = x_new
+                return k - 1, "blowup"
+            states[k] = x_new
+            end = stop is not None and stop(x_new)
+            if end:
+                return k, end
+            if x_new.tobytes() == x.tobytes():
+                states[k + 1:] = x_new
                 break
             x = x_new
-    return states, None, None
+    return len(states) - 1, None
 
 
 def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
-    """Classical fixed-step RK4 with every step recorded; a blow-up
-    truncates the trajectory and flags it (see :func:`_march`).
-
-    ``rhs`` must be a pure function of the state: a step that returns its
-    input state bit for bit ends the stepping, and the rest of the span
-    is filled with that state.
-    """
+    """Classical fixed-step RK4 of the pure right-hand side ``rhs`` with
+    every step recorded; a blow-up truncates the trajectory and flags it
+    (see :func:`_march`)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     t0, t1 = t_span
     if t1 < t0:
         raise ValueError(f"t_span ({t0}, {t1}) ends before it starts")
-    steps = int(round((t1 - t0) / dt))
-    states, k_blowup, _ = _march(x_init, steps, dt, lambda k, x: rhs, settled_from=0)
-    blowup = None if k_blowup is None else t0 + k_blowup * dt
+    x = np.asarray(x_init, dtype=float)
+    states = np.empty((int(round((t1 - t0) / dt)) + 1, x.size))
+    states[0] = x
+    steps, end = _march(states, dt, rhs)
     return Trajectory(
-        times=t0 + np.arange(states.shape[0]) * dt,
-        states=states,
-        completed=blowup is None,
-        blowup_time=blowup,
+        times=t0 + np.arange(steps + 1) * dt,
+        states=states[: steps + 1],
+        blowup_time=None if end is None else t0 + (steps + 1) * dt,
     )
 
 
@@ -262,6 +238,13 @@ def _grid_step(t: float, dt: float, what: str) -> int:
     return k
 
 
+def _either(first, second):
+    """The stop ``first(x) or second(x)``; either test may be None."""
+    if first is None or second is None:
+        return first or second
+    return lambda x: first(x) or second(x)
+
+
 def run_adaptive(
     sys: pm.SystemModel,
     model_set: ModelSet | None,
@@ -275,7 +258,10 @@ def run_adaptive(
 
     The system must already be solved at the scenario load level.  All
     five policy modes share this driver (and its integrator), so timing
-    comparisons between modes isolate right-hand-side cost.
+    comparisons between modes isolate right-hand-side cost.  An adaptive
+    run leaves the hybrid segment for the Taylor one once the rotor
+    deviation is within the threshold, tested on the segment's start
+    state and after each recorded step.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -309,17 +295,19 @@ def run_adaptive(
             keep = select_boundary_generators(sys, policy.norm_threshold_pu)
             hybrid = build_hybrid(sys, model, keep)
 
-    if policy.reference_generator is not None:
-        ref_id = policy.reference_generator
-        sys.machine_pos(ref_id)  # existence check
-    else:
+    ref_id = policy.reference_generator
+    if ref_id is None:
         ref_id, fallback = select_reference_generator(
             sys, norm_threshold=policy.norm_threshold_pu
         )
         if fallback:
             log.append(SwitchEvent(0.0, "full", "full", "reference_fallback_max_inertia", sys.load_level))
-    ref_pos = sys.machine_pos(ref_id)
+    try:
+        ref_pos = sys.machine_pos(ref_id)
+    except KeyError:
+        raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
     study_pos = sys.study_idx
+    level = model.load_level if model is not None else sys.load_level
 
     yred_fault = pm.apply_fault(sys, scenario.fault_bus) if k_clear > k_on else None
 
@@ -338,78 +326,62 @@ def run_adaptive(
     def rhs_linear(x):
         return linear_rhs(model, x - model.x0)
 
-    forced_post = {
-        "force_full": ("full", rhs_pre),
-        "force_hybrid": ("hybrid", rhs_hybrid),
-        "force_taylor": ("taylor", rhs_taylor),
-        "force_linear": ("linear", rhs_linear),
-    }
-
-    modes = []
-    current = "full"
-    taylor_locked = False
-
-    def step_rhs(k, x):
-        nonlocal current, taylor_locked
-        if k < k_on:
-            mode_now, rhs, reason = "full", rhs_pre, None
-        elif k < k_clear:
-            mode_now, rhs, reason = "full", rhs_fault, None
-        elif policy.mode == "adaptive":
-            if not taylor_locked:
-                dev = max_rotor_deviation(x, sys.x0, ref_pos, study_pos)
-                if dev <= policy.angle_threshold_deg:
-                    taylor_locked = True
-            if taylor_locked:
-                mode_now, rhs = "taylor", rhs_taylor
-                reason = ("deviation_below_threshold" if current == "hybrid"
-                          else "post_fault_small_disturbance")
-            else:
-                mode_now, rhs = "hybrid", rhs_hybrid
-                reason = "post_fault_large_disturbance"
-        else:
-            mode_now, rhs = forced_post[policy.mode]
-            reason = "post_fault_forced"
-        if mode_now != current:
-            log.append(
-                SwitchEvent(k * dt, current, mode_now, reason or "switch",
-                            model.load_level if model is not None else sys.load_level)
-            )
-            current = mode_now
-        modes.append(mode_now)
-        return rhs
-
-    stop = None
+    unstable = None
     if instability_stop_deg is not None and study_pos.size:
         stop_rad = math.radians(instability_stop_deg)
         d_idx = (study_pos * pm.N_STATES).tolist()
         ref_d = ref_pos * pm.N_STATES
 
-        def stop(x):
+        def unstable(x):
             # Python floats: the same differences as numpy's, and cheaper
             # than array calls on a handful of angles
             ref = x.item(ref_d)
             for i in d_idx:
                 if abs(x.item(i) - ref) > stop_rad:
-                    return True
+                    return "unstable"
             return False
 
-    # From k_clear on, step_rhs depends on the state alone: the forced
-    # modes are fixed, and the adaptive lock is one way and decided from
-    # the state, so a repeated state gets the same model without a switch.
-    states, k_blowup, k_stop = _march(sys.x0, k_end, dt, step_rhs,
-                                      settled_from=k_clear, stop=stop)
-    n_steps = states.shape[0] - 1
-    if len(modes) < n_steps:  # a settled run ended early on its last mode
-        modes.extend([modes[-1]] * (n_steps - len(modes)))
+    # (mode, right-hand side, last step, reason logged on entry, leave test)
+    plan = [("full", rhs_pre, k_on, None, None), ("full", rhs_fault, k_clear, None, None)]
+    if policy.mode == "adaptive":
+        def small_deviation(x):
+            dev = max_rotor_deviation(x, sys.x0, ref_pos, study_pos)
+            return dev <= policy.angle_threshold_deg and "deviation_below_threshold"
+
+        plan += [("hybrid", rhs_hybrid, k_end, "post_fault_large_disturbance", small_deviation),
+                 ("taylor", rhs_taylor, k_end, "post_fault_small_disturbance", None)]
+    else:
+        mode, rhs = {
+            "force_full": ("full", rhs_pre),
+            "force_hybrid": ("hybrid", rhs_hybrid),
+            "force_taylor": ("taylor", rhs_taylor),
+            "force_linear": ("linear", rhs_linear),
+        }[policy.mode]
+        plan.append((mode, rhs, k_end, "post_fault_forced", None))
+
+    states = np.empty((k_end + 1, sys.x0.size))
+    states[0] = sys.x0
+    modes, current, k, end = [], "full", 0, None
+    for mode, rhs, last, reason, leave in plan:
+        # a leave test is also tested on the segment's start state
+        if last <= k or (leave is not None and leave(states[k])):
+            continue
+        if mode != current:
+            # a segment ended by its leave test names the reason for the switch
+            log.append(SwitchEvent(k * dt, current, mode, end or reason, level))
+            current = mode
+        steps, end = _march(states[k:last + 1], dt, rhs, _either(unstable, leave))
+        modes += [mode] * steps
+        k += steps
+        if end in ("blowup", "unstable"):
+            break
     return Trajectory(
-        times=np.arange(states.shape[0]) * dt,
-        states=states,
+        times=np.arange(k + 1) * dt,
+        states=states[: k + 1],
         switch_log=log,
-        modes=modes[:n_steps],
-        completed=k_blowup is None and k_stop is None,
-        blowup_time=None if k_blowup is None else k_blowup * dt,
-        unstable_at=None if k_stop is None else k_stop * dt,
+        modes=modes,
+        blowup_time=(k + 1) * dt if end == "blowup" else None,
+        unstable_at=k * dt if end == "unstable" else None,
     )
 
 

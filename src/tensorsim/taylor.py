@@ -628,24 +628,29 @@ def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:
 
 def load_model_set(path) -> ModelSet:
     with np.load(path) as z:
-        levels = tuple(float(v) for v in z["levels"])
-        meta = json.loads(bytes(z["meta_json"].tobytes()).decode())
+        def get(key):
+            if key not in z.files:
+                raise ValueError(f"{path}: not a tensorsim model set (missing '{key}')")
+            return z[key]
+
+        levels = tuple(float(v) for v in get("levels"))
+        meta = json.loads(bytes(get("meta_json").tobytes()).decode())
         models = {}
         for i, lv in enumerate(levels):
             pre = f"m{i}_"
-            info = z[pre + "info"]
+            info = get(pre + "info")
             facs = {}
             for tag, d in (("a2", 3), ("a3", 4)):
-                w = z[pre + tag + "_w"]
-                mats = [z[pre + f"{tag}_f{k}"] for k in range(d)]
+                w = get(pre + tag + "_w")
+                mats = [get(pre + f"{tag}_f{k}") for k in range(d)]
                 facs[tag] = CpFactors(
                     rank=w.size, factors=mats, weights=w,
                     fit=float(info[1 if tag == "a2" else 2]),
                 )
             models[lv] = TaylorModel(
                 load_level=float(info[0]),
-                x0=z[pre + "x0"],
-                a1=z[pre + "a1"],
+                x0=get(pre + "x0"),
+                a1=get(pre + "a1"),
                 a2=facs["a2"],
                 a3=facs["a3"],
                 ranks=(facs["a2"].rank, facs["a3"].rank),

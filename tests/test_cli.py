@@ -142,6 +142,27 @@ class TestErrors:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
+    def test_unknown_reference_gen_exit_two(self, tmp_path, capsys):
+        code = run_cli(
+            ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+             "--t-end", "0.5", "--mode", "force_full", "--reference-gen", "G99",
+             "--out", tmp_path]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "'G99'" in err["message"]
+
+    def test_npz_not_a_model_set_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "other.npz"
+        np.savez(p, a=np.ones(2))
+        code = run_cli(
+            ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+             "--t-end", "0.5", "--models", p, "--out", tmp_path / "o"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{p}: not a tensorsim model set (missing 'levels')"
+
     @pytest.mark.parametrize(
         "cfg",
         [{"no_such_flag": 1}, {"dt": "fast"}, {"command": "build"}, {"fault_bus": 7.5},

@@ -267,35 +267,35 @@ class TestRunAdaptive:
         assert len(traj.modes) == traj.n_steps
 
 
-def _plain_march(x, steps, dt, step_rhs, *, settled_from, stop=None):
-    """Reference RK4 loop: every step of the horizon is taken."""
-    x = np.array(x, dtype=float)
-    states = [x]
-    for k in range(steps):
-        f = step_rhs(k, x)
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
+def _plain_march(states, dt, rhs, stop=None):
+    """Reference RK4 loop: every step of the view is taken."""
+    x = states[0]
+    for k in range(1, len(states)):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
-            return np.array(states), k + 1, None
-        states.append(x)
-        if stop is not None and stop(x):
-            return np.array(states), None, k + 1
-    return np.array(states), None, None
+            return k - 1, "blowup"
+        states[k] = x
+        end = stop is not None and stop(x)
+        if end:
+            return k, end
+    return len(states) - 1, None
 
 
 class TestSettledExit:
-    """A run that reaches a state its next step returns bit for bit ends
-    there; the trajectory must equal the one stepped to the horizon."""
+    """A segment that reaches a state its next step returns bit for bit
+    ends there; the trajectory must equal the one stepped to the horizon."""
 
     @pytest.mark.parametrize("level,mode,t_fault_on,t_clear,settles", [
         (0.8, "force_full", 0.0, 0.0, True),
         (1.0, "adaptive", 0.0, 0.0, True),
-        # at equilibrium before the fault: an exit before clearing would
-        # skip the fault
+        # at equilibrium before the fault: the pre-fault segment settles,
+        # and the fault must still be applied
         (0.8, "force_full", 0.2, 0.3, False),
+        (0.8, "force_full", 1.0, 1.1, False),
     ])
     def test_matches_every_step(self, monkeypatch, wscc_spec, wscc_model_set,
                                 level, mode, t_fault_on, t_clear, settles):
@@ -305,14 +305,16 @@ class TestSettledExit:
         ms = None if mode == "force_full" else wscc_model_set
         pol = sim.SwitchPolicy(mode=mode)
 
-        stepped = []
+        evals = []  # right-hand-side evaluations per segment
         march = sim._march
 
-        def counting_march(x, steps, dt, step_rhs, **kw):
-            def counted(k, x):
-                stepped.append(k)
-                return step_rhs(k, x)
-            return march(x, steps, dt, counted, **kw)
+        def counting_march(states, dt, rhs, stop=None):
+            evals.append(0)
+
+            def counted(x):
+                evals[-1] += 1
+                return rhs(x)
+            return march(states, dt, counted, stop)
 
         monkeypatch.setattr(sim, "_march", counting_march)
         got = sim.run_adaptive(sys_l, ms, scn, pol, instability_stop_deg=180)
@@ -326,7 +328,11 @@ class TestSettledExit:
         assert (got.completed, got.blowup_time, got.unstable_at) == (
             ref.completed, ref.blowup_time, ref.unstable_at)
         assert ref.completed and ref.n_steps == 1600
-        assert (len(stepped) < 100) == settles
+        stepped = [n // 4 for n in evals]  # four evaluations per RK4 step
+        assert (sum(stepped) < 100) == settles
+        if t_fault_on > 0:
+            # this equilibrium settles within 10 steps of the pre-fault segment
+            assert stepped[0] <= 10
 
     def test_integrate_signed_zero(self, monkeypatch):
         # From -0.0 the first step returns +0.0, equal in value but not in

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from tensorsim import power_model as pm
 from tensorsim import simulate as sim
 from tensorsim import study
+
+CCT_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "wscc9_cct.json"
 
 
 def synthetic_traj(times, deltas_by_gen, n_machines=3):
@@ -89,6 +93,16 @@ class TestCct:
             res = study.cct_search(wscc_sys, None, pol, 7, max_duration=cap)
             assert res.capped and res.cct == cap
             assert res.stable_steps == round(cap / 0.01) and res.unstable_steps is None
+
+    @pytest.mark.parametrize("bus,level", [(1, 0.90), (5, 1.15), (8, 0.90)])
+    def test_recorded_cct_at_level_without_model(self, wscc_spec, wscc_model_set, bus, level):
+        # the adaptive runs use the 1.0 or 1.2 Taylor model, expanded
+        # around another level's equilibrium
+        want = json.loads(CCT_REFS.read_text())["cct"][f"{bus}@{level:.2f}"]
+        sys_l = pm.build_system(wscc_spec, level)
+        for mode, ms in (("force_full", None), ("adaptive", wscc_model_set)):
+            res = study.cct_search(sys_l, ms, sim.SwitchPolicy(mode=mode), bus)
+            assert res.stable_steps == want, mode
 
 
 class TestRankSweepCore:
