@@ -31,11 +31,10 @@ import numpy as np
 from . import power_model as pm
 from .taylor import (
     ModelSet,
-    build_hybrid,
     hybrid_rhs,
+    hybrid_rows,
     linear_rhs,
     reduced_rhs,
-    select_boundary_generators,
 )
 
 __all__ = [
@@ -104,6 +103,7 @@ class Trajectory:
     modes: list = field(default_factory=list)  # model mode used on step k
     blowup_time: float | None = None
     unstable_at: float | None = None
+    reference: str | None = None  # machine the run's rotor angles were taken against
 
     @property
     def completed(self) -> bool:
@@ -261,7 +261,10 @@ def run_adaptive(
     comparisons between modes isolate right-hand-side cost.  An adaptive
     run leaves the hybrid segment for the Taylor one once the rotor
     deviation is within the threshold, tested on the segment's start
-    state and after each recorded step.
+    state and after each recorded step.  One set of admittance column
+    norms serves both the hybrid's row mask and the reference-machine
+    choice; a mask over every row steps the hybrid segment with the full
+    model.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -279,7 +282,6 @@ def run_adaptive(
     log = [SwitchEvent(0.0, "none", "full", "start", sys.load_level)]
 
     model = None
-    hybrid = None
     if policy.mode != "force_full":
         if model_set is None:
             raise ValueError("this policy mode needs a prebuilt model set")
@@ -291,15 +293,12 @@ def run_adaptive(
         model = model_set.models[active]
         if swapped:
             log.append(SwitchEvent(0.0, "full", "full", "load_level_swap", active))
-        if policy.mode in ("adaptive", "force_hybrid"):
-            keep = select_boundary_generators(sys, policy.norm_threshold_pu)
-            hybrid = build_hybrid(sys, model, keep)
 
+    norms = pm.admittance_column_norms(sys)
+    rows = hybrid_rows(sys, norms, policy.norm_threshold_pu)
     ref_id = policy.reference_generator
     if ref_id is None:
-        ref_id, fallback = select_reference_generator(
-            sys, norm_threshold=policy.norm_threshold_pu
-        )
+        ref_id, fallback = select_reference_generator(sys, norms, policy.norm_threshold_pu)
         if fallback:
             log.append(SwitchEvent(0.0, "full", "full", "reference_fallback_max_inertia", sys.load_level))
     try:
@@ -317,8 +316,11 @@ def run_adaptive(
     def rhs_fault(x):
         return pm._rhs(sys, yred_fault, x)
 
-    def rhs_hybrid(x):
-        return hybrid_rhs(hybrid, x, sys)
+    if rows.all():  # a hybrid of full rows only is the full model
+        rhs_hybrid = rhs_pre
+    else:
+        def rhs_hybrid(x):
+            return hybrid_rhs(model, rows, x, sys)
 
     def rhs_taylor(x):
         return reduced_rhs(model, x - model.x0)
@@ -382,6 +384,7 @@ def run_adaptive(
         modes=modes,
         blowup_time=(k + 1) * dt if end == "blowup" else None,
         unstable_at=k * dt if end == "unstable" else None,
+        reference=ref_id,
     )
 
 

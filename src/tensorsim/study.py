@@ -3,9 +3,9 @@ error tables, load-level sweeps, and wall-clock timing comparisons.
 
 All accuracy numbers compare a reduced-mode run against a full-model run
 on the identical time grid; rotor angles are always taken relative to the
-reference machine in both trajectories before differencing.  Timing rows
-report medians over repetitions and never include model build time
-(models are built offline).
+reference machine the runs used, in both trajectories, before
+differencing.  Timing rows report medians over repetitions and never
+include model build time (models are built offline).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import numpy as np
 
 from . import power_model as pm
 from . import simulate as sim
-from .taylor import (
-    ModelSet,
-    compress_taylor_terms,
-    jacobian,
-    taylor_tensors,
-)
+from .taylor import ModelSet, compress_taylor_terms, taylor_terms
 
 __all__ = [
     "GridMismatchError",
@@ -71,8 +66,11 @@ def _angle_errors(a, b, sys, generators, reference):
         raise GridMismatchError(
             f"time grids differ ({a.times.shape[0]} vs {b.times.shape[0]} samples)"
         )
+    used = {t.reference for t in (a, b)} - {None}
+    if len(used) > 1:
+        raise ValueError(f"the runs used different reference machines: {sorted(used)}")
     if reference is None:
-        reference, _ = sim.select_reference_generator(sys)
+        reference = used.pop() if used else sim.select_reference_generator(sys)[0]
     if generators is None:
         generators = sys.study
     return {
@@ -82,7 +80,12 @@ def _angle_errors(a, b, sys, generators, reference):
 
 
 def rms_error(a, b, sys, generators=None, reference=None) -> dict:
-    """Per-generator RMS rotor-angle error between two runs, in degrees."""
+    """Per-generator RMS rotor-angle error between two runs, in degrees.
+
+    Angles are taken against ``reference``, else against the reference
+    machine the runs recorded (runs that recorded different ones are
+    refused), else against the default choice for ``sys``.
+    """
     diffs = _angle_errors(a, b, sys, generators, reference)
     return {
         g: float(np.sqrt(np.mean(d * d)) * 180.0 / math.pi) for g, d in diffs.items()
@@ -246,7 +249,7 @@ def rank_search(
     full_policy = replace(policy, mode="force_full")
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     lv = sys.load_level
-    terms = (jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3))
+    terms = taylor_terms(sys)
 
     def score(r2, r3):
         model = compress_taylor_terms(sys, terms, (r2, r3), seed=seed, cp_options=cp_options)

@@ -24,7 +24,8 @@ coupling structure, the stencil runs in double precision with the
 Richardson pass at order 2 only, and the entries stay a sparse
 coordinate list.  That path requires every exciter voltage loop to be
 open (ka = 0), since terminal-voltage feedback couples all machine
-triples and destroys the sparsity.
+triples and destroys the sparsity.  :func:`taylor_terms` is the one place
+the state count picks between the two enumerators.
 
 :func:`compress_taylor_terms` is the one place terms become a
 :class:`TaylorModel`.  Both sizes share one ALS loop,
@@ -59,18 +60,17 @@ __all__ = [
     "NumericalError",
     "ModelBuildError",
     "TaylorModel",
-    "HybridModel",
     "ModelSet",
     "fd_derivative_tensor",
     "jacobian",
     "nonlinear_state_columns",
     "taylor_tensors",
+    "taylor_terms",
     "build_taylor_model",
     "compress_taylor_terms",
     "reduced_rhs",
     "linear_rhs",
-    "select_boundary_generators",
-    "build_hybrid",
+    "hybrid_rows",
     "hybrid_rhs",
     "build_model_set",
     "save_model_set",
@@ -114,11 +114,13 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     for lo in range(0, len(tuples), chunk):
         tt = tuples[lo:lo + chunk]
         hh = h[tt]  # (T, order)
+        probe = np.arange(len(tt))
         acc = np.zeros((len(tt), n), dtype=x0.dtype)
         for s in signs:
             disp = np.zeros((len(tt), n), dtype=x0.dtype)
             for pos in range(order):
-                np.add.at(disp, (np.arange(len(tt)), tt[:, pos]), s[pos] * hh[:, pos])
+                # one entry per probe row, so a plain indexed add suffices
+                disp[probe, tt[:, pos]] += s[pos] * hh[:, pos]
             acc += np.prod(s) * f_batch(x0 + disp)
         denom = (2.0 ** order) * np.prod(hh, axis=1) * fact
         out[lo:lo + chunk] = acc / denom[:, None]
@@ -221,7 +223,7 @@ def taylor_tensors(sys: pm.SystemModel, order: int) -> Tensor:
     if sys.n_states > DENSE_STATE_LIMIT:
         raise ModelBuildError(
             f"dense derivative tensors are limited to {DENSE_STATE_LIMIT} states "
-            f"(system has {sys.n_states}); use build_taylor_model, which "
+            f"(system has {sys.n_states}); use taylor_terms, which "
             "switches to the structured sparse path"
         )
     return fd_derivative_tensor(
@@ -446,21 +448,27 @@ def linear_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
     return model.a1 @ dx
 
 
+def taylor_terms(sys: pm.SystemModel):
+    """The terms ``(a1, t2, t3)`` of the pre-fault dynamics around
+    ``sys.x0``: the Jacobian, then the order-2 and order-3 derivative terms
+    as dense tensors up to :data:`DENSE_STATE_LIMIT` states and as
+    coordinate lists above.  This is the one place the state count picks
+    the derivative enumerator."""
+    if sys.n_states <= DENSE_STATE_LIMIT:
+        return jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3)
+    return jacobian(sys), _structured_coo(sys, 2), _structured_coo(sys, 3)
+
+
 def build_taylor_model(sys: pm.SystemModel, ranks, *, seed: int = 0,
                        cp_options: dict | None = None) -> TaylorModel:
-    """The per-level Taylor model: the Jacobian and derivative terms around
-    ``sys.x0`` (dense tensors up to :data:`DENSE_STATE_LIMIT` states,
-    coordinate lists above, where ``ranks="full"`` is refused), compressed
-    by :func:`compress_taylor_terms`."""
-    if sys.n_states <= DENSE_STATE_LIMIT:
-        terms = (jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3))
-    elif ranks == "full":
+    """The per-level Taylor model: :func:`taylor_terms` compressed by
+    :func:`compress_taylor_terms`.  ``ranks="full"`` is refused above
+    :data:`DENSE_STATE_LIMIT` states, before any term is built."""
+    if ranks == "full" and sys.n_states > DENSE_STATE_LIMIT:
         raise ModelBuildError(
             f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
         )
-    else:
-        terms = (jacobian(sys), _structured_coo(sys, 2), _structured_coo(sys, 3))
-    return compress_taylor_terms(sys, terms, ranks, seed=seed, cp_options=cp_options)
+    return compress_taylor_terms(sys, taylor_terms(sys), ranks, seed=seed, cp_options=cp_options)
 
 
 def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
@@ -503,51 +511,26 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
 # hybrid model
 
 
-def select_boundary_generators(sys: pm.SystemModel, threshold: float) -> set:
-    """Machines kept nonlinear: the whole study area plus external
-    machines whose admittance column norm exceeds ``threshold``."""
-    norms = pm.admittance_column_norms(sys)
-    keep = set(sys.study)
-    keep.update(g for g, v in norms.items() if v > threshold)
-    return keep
+def hybrid_rows(sys: pm.SystemModel, norms: dict, threshold: float) -> np.ndarray:
+    """Row mask of the hybrid model: True on the rows of the study area and
+    of every external machine whose admittance column norm in ``norms``
+    (:func:`tensorsim.power_model.admittance_column_norms`) exceeds
+    ``threshold``.  True rows follow the full equations, the rest the
+    reduced Taylor dynamics."""
+    study = set(sys.study)
+    return np.repeat([m.id in study or norms[m.id] > threshold for m in sys.machines],
+                     pm.N_STATES)
 
 
-@dataclass
-class HybridModel:
-    """Row-partitioned model: selected machines follow the full nonlinear
-    equations, the rest follow the reduced Taylor dynamics; both see the
-    same state vector."""
-
-    taylor: TaylorModel
-    row_mask: np.ndarray  # True rows come from the full model
-
-    @property
-    def all_nonlinear(self) -> bool:
-        return bool(self.row_mask.all())
-
-
-def build_hybrid(sys: pm.SystemModel, taylor: TaylorModel, nonlinear_ids) -> HybridModel:
-    missing = set(sys.study) - set(nonlinear_ids)
-    if missing:
-        raise ValueError(f"study-area machines must stay nonlinear: {sorted(missing)}")
-    mask = np.zeros(sys.n_states, dtype=bool)
-    for g in set(nonlinear_ids):
-        k = sys.machine_pos(g)
-        mask[k * pm.N_STATES:(k + 1) * pm.N_STATES] = True
-    return HybridModel(taylor=taylor, row_mask=mask)
-
-
-def hybrid_rhs(h: HybridModel, x: np.ndarray, sys: pm.SystemModel) -> np.ndarray:
-    """Combine full-model rows (nonlinear set) with reduced rows.
+def hybrid_rhs(model: TaylorModel, rows: np.ndarray, x: np.ndarray,
+               sys: pm.SystemModel) -> np.ndarray:
+    """Full-model rows where ``rows`` is True, reduced Taylor rows of
+    ``model`` elsewhere, both at the same state vector.
 
     Full rows are evaluated on the pre-fault network by the same kernel as
     the plain full model, so they match it bit for bit.
     """
-    full = pm._rhs(sys, sys.y_red, x)
-    if h.all_nonlinear:
-        return full
-    red = reduced_rhs(h.taylor, x - h.taylor.x0)
-    return np.where(h.row_mask, full, red)
+    return np.where(rows, pm._rhs(sys, sys.y_red, x), reduced_rhs(model, x - model.x0))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +610,10 @@ def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:
 
 
 def load_model_set(path) -> ModelSet:
-    with np.load(path) as z:
+    z = np.load(path)
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a tensorsim model set (not an .npz archive)")
+    with z:
         def get(key):
             if key not in z.files:
                 raise ValueError(f"{path}: not a tensorsim model set (missing '{key}')")

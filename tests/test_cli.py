@@ -163,6 +163,17 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == f"{p}: not a tensorsim model set (missing 'levels')"
 
+    def test_npy_not_a_model_set_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "x.npy"
+        np.save(p, np.ones(2))
+        code = run_cli(
+            ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+             "--t-end", "0.5", "--models", p, "--out", tmp_path / "o"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{p}: not a tensorsim model set (not an .npz archive)"
+
     @pytest.mark.parametrize(
         "cfg",
         [{"no_such_flag": 1}, {"dt": "fast"}, {"command": "build"}, {"fault_bus": 7.5},
@@ -299,6 +310,21 @@ class TestBuildAndConsumers:
         assert rep["rank_search"]["stopped"] in ("improvement_below_tol", "max_rank")
         assert rep["ranks"][0] >= 1
         assert len(rep["rank_search"]["curve"]) >= 1
+
+    def test_build_auto_ranks_above_dense_limit(self, tmp_path):
+        # ring:7 has 63 states: the rank search scores structured sparse terms
+        out = tmp_path / "auto"
+        code = run_cli(
+            ["build", "--system", "ring:7", "--ranks", "auto", "--levels", "1.0",
+             "--t-end", "2.0", "--max-rank", "3", "--out", out]
+        )
+        assert code == 0
+        rep = json.loads((out / "build_report.json").read_text())
+        curve = rep["rank_search"]["curve"]
+        assert {"r2": rep["ranks"][0], "r3": rep["ranks"][1]} in [
+            {"r2": c["r2"], "r3": c["r3"]} for c in curve]
+        assert all(np.isfinite(c["max_rms_deg"]) for c in curve)
+        assert taylor.load_model_set(out / "models.npz").models[1.0].n == 63
 
     def test_cct_command(self, tmp_path):
         out = tmp_path / "c"

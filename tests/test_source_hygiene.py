@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, every ``__all__`` entry resolves,
 every function the benchmark's tracer wraps exists, every flag the
-benchmark passes to a CLI command is an option of that command, and
-every optional parameter of the library is set by some caller.
+benchmark passes to a CLI command is an option of that command, every
+optional parameter of the library is set by some caller, and only
+``taylor`` reaches the derivative enumerators.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -19,6 +20,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 BENCH_ARGV_FILES = [ROOT / "perfbench" / "bench.py", ROOT / "perfbench" / "tests" / "test_bench.py"]
 CALLER_DIRS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+# taylor.taylor_terms picks among these by state count; nothing else may
+ENUMERATORS = {"jacobian", "taylor_tensors", "_structured_coo"}
 
 
 def _parse(name):
@@ -60,6 +63,22 @@ def test_no_unused_imports(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(imported - used - set(_declared_all(tree)))
     assert not unused, f"{name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "taylor"])
+def test_enumerators_only_in_taylor(name):
+    # a second caller would make a second place that chooses the
+    # enumerator by size, or one that fails beyond the dense limit
+    names = set()
+    for node in ast.walk(_parse(name)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    found = sorted(names & ENUMERATORS)
+    assert not found, f"{name} references derivative enumerators: {found}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tensorsim import cases
 from tensorsim import power_model as pm
 from tensorsim import simulate as sim
 from tensorsim import study
+from tensorsim import taylor
 
 CCT_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "wscc9_cct.json"
 
@@ -62,6 +64,26 @@ class TestRmsError:
         b = synthetic_traj(times, {1: np.zeros(4)})
         err = study.max_abs_error(a, b, wscc_sys, generators=("G2",), reference="G1")
         assert abs(err["G2"] - math.degrees(0.03)) < 1e-12
+
+    def test_runs_reference_machine_used(self, wscc_sys, wscc_model_set):
+        # the runs take their angles against G3, not the default choice G1
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=4.0)
+        pol = sim.SwitchPolicy(reference_generator="G3")
+        full = sim.run_adaptive(wscc_sys, None, scn, replace(pol, mode="force_full"))
+        lin = sim.run_adaptive(wscc_sys, wscc_model_set, scn, replace(pol, mode="force_linear"))
+        assert full.reference == lin.reference == "G3"
+        err = study.rms_error(lin, full, wscc_sys)
+        assert err["G3"] == 0.0
+        assert err == study.rms_error(lin, full, wscc_sys, reference="G3")
+        assert abs(err["G2"] - 2.69) < 0.01
+
+    def test_runs_with_different_references_refused(self, wscc_sys):
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=0.3)
+        a, b = (sim.run_adaptive(wscc_sys, None, scn,
+                                 sim.SwitchPolicy(mode="force_full", reference_generator=g))
+                for g in ("G1", "G3"))
+        with pytest.raises(ValueError, match="different reference machines"):
+            study.rms_error(a, b, wscc_sys)
 
 
 class TestCct:
@@ -143,6 +165,15 @@ class TestRankSweepCore:
         assert len(res.curve) >= 1
         assert all("max_rms_deg" in row for row in res.curve)
 
+    def test_search_above_dense_limit(self):
+        # ring:7 has 63 states, so its terms come from the structured path
+        sys_m = pm.build_system(cases.synthetic_ring_spec(7), 1.0)
+        assert sys_m.n_states > taylor.DENSE_STATE_LIMIT
+        scn = sim.Scenario(fault_bus=1, t_clear=0.1, t_end=2.0)
+        res = study.rank_search(sys_m, scn, sim.SwitchPolicy(), max_rank=3)
+        assert res.curve and all(math.isfinite(row["max_rms_deg"]) for row in res.curve)
+        assert res.r2 >= 1
+
     def test_empty_rank_range_rejected(self, wscc_sys, monkeypatch):
         # rejected before the full-model baseline run
         monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a run started"))
@@ -178,6 +209,18 @@ class TestThresholdSearch:
         )
         assert len(res.curve) >= 1
         assert res.metric == "rms"
+
+    def test_errors_use_policy_reference(self, wscc_sys, wscc_model_set):
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=2.0)
+        pol = sim.SwitchPolicy(reference_generator="G3")
+        res = study.threshold_search(
+            wscc_sys, wscc_model_set, scn, pol, start_deg=26.0, max_deg=26.0,
+            max_error_deg=float("inf"),
+        )
+        full = sim.run_adaptive(wscc_sys, None, scn, replace(pol, mode="force_full"))
+        adap = sim.run_adaptive(wscc_sys, wscc_model_set, scn, pol)
+        err = study.rms_error(adap, full, wscc_sys, reference="G3")
+        assert res.curve == [{"threshold_deg": 26.0, "max_err_deg": max(err.values())}]
 
     def test_unknown_metric_rejected(self, wscc_sys, wscc_model_set):
         scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=2.0)

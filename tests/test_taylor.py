@@ -300,37 +300,56 @@ class TestCompress:
         assert all(b >= a - 0.05 for a, b in zip(fits, fits[1:]))
 
 
+def _machine_rows(sys, ids):
+    """Row mask of the states of the machines ``ids``."""
+    return np.repeat([m.id in ids for m in sys.machines], pm.N_STATES)
+
+
+@pytest.fixture(scope="module")
+def ring5_full_rank_model(ring5_sys):
+    return taylor.build_taylor_model(ring5_sys, "full")
+
+
 class TestHybrid:
     def test_all_nonlinear_equals_full(self, wscc_sys, full_rank_model):
-        h = taylor.build_hybrid(wscc_sys, full_rank_model, {"G1", "G2", "G3"})
+        rows = taylor.hybrid_rows(wscc_sys, pm.admittance_column_norms(wscc_sys), 0.0)
         rng = np.random.default_rng(8)
         x = wscc_sys.x0 + 0.05 * rng.standard_normal(wscc_sys.n_states)
         assert np.array_equal(
-            taylor.hybrid_rhs(h, x, wscc_sys), pm.f_full(x, wscc_sys)
+            taylor.hybrid_rhs(full_rank_model, rows, x, wscc_sys), pm.f_full(x, wscc_sys)
         )
 
     def test_empty_external_set_equals_reduced(self, wscc_sys, full_rank_model):
-        h = taylor.build_hybrid(wscc_sys, full_rank_model, set(wscc_sys.study))
+        rows = taylor.hybrid_rows(wscc_sys, pm.admittance_column_norms(wscc_sys), np.inf)
         rng = np.random.default_rng(9)
         x = wscc_sys.x0 + 0.05 * rng.standard_normal(wscc_sys.n_states)
-        out = taylor.hybrid_rhs(h, x, wscc_sys)
+        out = taylor.hybrid_rhs(full_rank_model, rows, x, wscc_sys)
         red = taylor.reduced_rhs(full_rank_model, x - full_rank_model.x0)
-        ext_rows = ~h.row_mask
-        assert np.array_equal(out[ext_rows], red[ext_rows])
-        assert np.array_equal(out[h.row_mask], pm.f_full(x, wscc_sys)[h.row_mask])
+        assert np.array_equal(out[~rows], red[~rows])
+        assert np.array_equal(out[rows], pm.f_full(x, wscc_sys)[rows])
 
     def test_equilibrium_near_zero(self, wscc_sys, full_rank_model):
-        h = taylor.build_hybrid(wscc_sys, full_rank_model, set(wscc_sys.study))
-        out = taylor.hybrid_rhs(h, wscc_sys.x0, wscc_sys)
+        rows = taylor.hybrid_rows(wscc_sys, pm.admittance_column_norms(wscc_sys), np.inf)
+        out = taylor.hybrid_rhs(full_rank_model, rows, wscc_sys.x0, wscc_sys)
         assert np.max(np.abs(out)) < 1e-8
 
-    def test_study_area_must_stay_nonlinear(self, wscc_sys, full_rank_model):
-        with pytest.raises(ValueError, match="study"):
-            taylor.build_hybrid(wscc_sys, full_rank_model, {"G1"})
-
     def test_boundary_selection_limits(self, wscc_sys):
-        assert taylor.select_boundary_generators(wscc_sys, 0.0) == {"G1", "G2", "G3"}
-        assert taylor.select_boundary_generators(wscc_sys, np.inf) == {"G2", "G3"}
+        norms = pm.admittance_column_norms(wscc_sys)
+        rows = taylor.hybrid_rows(wscc_sys, norms, 0.0)
+        assert rows.dtype == bool and rows.all()
+        study_only = taylor.hybrid_rows(wscc_sys, norms, np.inf)
+        assert np.array_equal(study_only, _machine_rows(wscc_sys, {"G2", "G3"}))
+
+    def test_strict_subset_splits_rows(self, ring5_sys, ring5_full_rank_model):
+        # at 1.0 pu, G2 and G5 are close to the study machine G1, G3 and G4 are not
+        rows = taylor.hybrid_rows(ring5_sys, pm.admittance_column_norms(ring5_sys), 1.0)
+        assert np.array_equal(rows, _machine_rows(ring5_sys, {"G1", "G2", "G5"}))
+        rng = np.random.default_rng(10)
+        x = ring5_sys.x0 + 0.05 * rng.standard_normal(ring5_sys.n_states)
+        out = taylor.hybrid_rhs(ring5_full_rank_model, rows, x, ring5_sys)
+        red = taylor.reduced_rhs(ring5_full_rank_model, x - ring5_full_rank_model.x0)
+        assert np.array_equal(out[rows], pm.f_full(x, ring5_sys)[rows])
+        assert np.array_equal(out[~rows], red[~rows])
 
     def test_boundary_selection_hand_norms(self):
         # three machines, study row 0; external columns carry norms 0.5 and 2
