@@ -263,8 +263,7 @@ def run_adaptive(
     deviation is within the threshold, tested on the segment's start
     state and after each recorded step.  One set of admittance column
     norms serves both the hybrid's row mask and the reference-machine
-    choice; a mask over every row steps the hybrid segment with the full
-    model.
+    choice.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -316,11 +315,8 @@ def run_adaptive(
     def rhs_fault(x):
         return pm._rhs(sys, yred_fault, x)
 
-    if rows.all():  # a hybrid of full rows only is the full model
-        rhs_hybrid = rhs_pre
-    else:
-        def rhs_hybrid(x):
-            return hybrid_rhs(model, rows, x, sys)
+    def rhs_hybrid(x):
+        return hybrid_rhs(model, rows, x, sys)
 
     def rhs_taylor(x):
         return reduced_rhs(model, x - model.x0)

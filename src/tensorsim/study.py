@@ -66,10 +66,10 @@ def _angle_errors(a, b, sys, generators, reference):
         raise GridMismatchError(
             f"time grids differ ({a.times.shape[0]} vs {b.times.shape[0]} samples)"
         )
-    used = {t.reference for t in (a, b)} - {None}
-    if len(used) > 1:
-        raise ValueError(f"the runs used different reference machines: {sorted(used)}")
     if reference is None:
+        used = {t.reference for t in (a, b)} - {None}
+        if len(used) > 1:
+            raise ValueError(f"the runs used different reference machines: {sorted(used)}")
         reference = used.pop() if used else sim.select_reference_generator(sys)[0]
     if generators is None:
         generators = sys.study
@@ -82,9 +82,10 @@ def _angle_errors(a, b, sys, generators, reference):
 def rms_error(a, b, sys, generators=None, reference=None) -> dict:
     """Per-generator RMS rotor-angle error between two runs, in degrees.
 
-    Angles are taken against ``reference``, else against the reference
-    machine the runs recorded (runs that recorded different ones are
-    refused), else against the default choice for ``sys``.
+    Angles are taken against ``reference`` when given.  Otherwise they
+    are taken against the reference machine the runs recorded (runs that
+    recorded different ones are refused), else against the default
+    choice for ``sys``.
     """
     diffs = _angle_errors(a, b, sys, generators, reference)
     return {

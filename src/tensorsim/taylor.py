@@ -528,9 +528,11 @@ def hybrid_rhs(model: TaylorModel, rows: np.ndarray, x: np.ndarray,
     ``model`` elsewhere, both at the same state vector.
 
     Full rows are evaluated on the pre-fault network by the same kernel as
-    the plain full model, so they match it bit for bit.
+    the plain full model, so they match it bit for bit; a mask over every
+    row returns them without evaluating the reduced model.
     """
-    return np.where(rows, pm._rhs(sys, sys.y_red, x), reduced_rhs(model, x - model.x0))
+    full = pm._rhs(sys, sys.y_red, x)
+    return full if rows.all() else np.where(rows, full, reduced_rhs(model, x - model.x0))
 
 
 # ---------------------------------------------------------------------------

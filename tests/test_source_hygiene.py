@@ -65,20 +65,44 @@ def test_no_unused_imports(name):
     assert not unused, f"{name}: imported but never used: {unused}"
 
 
+def _taken_from_taylor(tree):
+    """Names a module takes from ``taylor``: imported from it, or read as
+    attributes of a name bound to the module."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("taylor", "tensorsim.taylor"):
+                names.update(a.name for a in node.names)
+            elif node.module in (None, "tensorsim"):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "taylor")
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name == "tensorsim.taylor" and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in aliases) or (
+                isinstance(base, ast.Attribute) and base.attr == "taylor"
+            ):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .taylor import jacobian", {"jacobian"}),
+    ("from . import taylor as ty\nty.taylor_tensors(s)", {"taylor_tensors"}),
+    ("import tensorsim.taylor\ntensorsim.taylor._structured_coo(s)", {"_structured_coo"}),
+    ("jacobian = 1\nres.jacobian\nfrom .study import taylor_tensors", set()),
+])
+def test_taken_from_taylor(source, found):
+    assert _taken_from_taylor(ast.parse(source)) & ENUMERATORS == found
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "taylor"])
 def test_enumerators_only_in_taylor(name):
     # a second caller would make a second place that chooses the
     # enumerator by size, or one that fails beyond the dense limit
-    names = set()
-    for node in ast.walk(_parse(name)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-    found = sorted(names & ENUMERATORS)
-    assert not found, f"{name} references derivative enumerators: {found}"
+    found = sorted(_taken_from_taylor(_parse(name)) & ENUMERATORS)
+    assert not found, f"{name} takes derivative enumerators from taylor: {found}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -84,6 +84,11 @@ class TestRmsError:
                 for g in ("G1", "G3"))
         with pytest.raises(ValueError, match="different reference machines"):
             study.rms_error(a, b, wscc_sys)
+        # an explicit reference recomputes both runs' angles against it
+        d = (study.relative_angles(a, wscc_sys, "G2", "G3")
+             - study.relative_angles(b, wscc_sys, "G2", "G3"))
+        got = study.rms_error(a, b, wscc_sys, ["G2"], reference="G3")["G2"]
+        assert got == float(np.sqrt(np.mean(d * d)) * 180.0 / math.pi)
 
 
 class TestCct:
