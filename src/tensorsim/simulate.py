@@ -18,6 +18,13 @@ fixed right-hand side stepped by the RK4 loop :func:`_march`;
 returns its input state bit for bit would repeat at every later step, so
 the loop fills the rest of the segment with that state: the trajectory is
 the one stepped to the segment's end.
+
+Single runs step one 1-D state.  :class:`ClearingProbes` gives the
+verdicts of many runs of one fault, cleared at different steps, which a
+CCT search asks for: under the full model they step in lockstep as the
+lanes of :func:`_march_lanes`, a ``(B, 1, n)`` state whose every lane
+gets the bytes of its own single run.  :func:`_rk4` is the one step
+formula of both loops.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "SwitchPolicy",
     "SwitchEvent",
     "Trajectory",
+    "ClearingProbes",
     "integrate",
     "max_rotor_deviation",
     "select_reference_generator",
@@ -114,6 +122,16 @@ class Trajectory:
         return len(self.times) - 1
 
 
+def _rk4(rhs, x, dt: float):
+    """One classical RK4 step of the pure right-hand side ``rhs``: the one
+    step formula of every run, for one state and for stacked lanes."""
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _march(states, dt: float, rhs, stop=None):
     """RK4 with the pure right-hand side ``rhs`` from ``states[0]`` into
     the preallocated view ``states[1:]``; returns ``(steps, end)``, the
@@ -133,11 +151,7 @@ def _march(states, dt: float, rhs, stop=None):
     x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(states)):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x_new = _rk4(rhs, x, dt)
             if not np.isfinite(x_new).all():
                 return k - 1, "blowup"
             states[k] = x_new
@@ -149,6 +163,45 @@ def _march(states, dt: float, rhs, stop=None):
                 break
             x = x_new
     return len(states) - 1, None
+
+
+def _march_lanes(x, ids, ends, dt: float, rhs, stops, report):
+    """RK4 of stacked lanes in lockstep, for their verdicts only.
+
+    ``x`` holds one ``(1, n)`` state per lane, named by ``ids``; lane ``i``
+    ends after ``ends[i]`` steps.  ``stops`` is the stop test as a pair:
+    for one state, as :func:`_march` takes it, and for stacked lanes, one
+    boolean per lane; either may be None.  A lane ends as :func:`_march`
+    would end its run: False when its next step is not finite or is
+    stopped, True when the step returns its input bit for bit or is its
+    last.  After each step in which lanes end, ``report({id: verdict})``
+    returns the ids still wanted; the others leave the batch.
+
+    Stacked as ``(B, 1, n)``, every lane's right-hand side has the bytes of
+    a call on its state alone, so a lane's verdict is that of the run.
+    The last lane is stepped by :func:`_march` on its own state, which
+    costs less than a batch of one.
+    """
+    one, lanes = stops
+    ids, ends, t = list(ids), np.asarray(ends), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(ids) > 1:
+            x_new = _rk4(rhs, x, dt)
+            t += 1
+            failed = ~np.isfinite(x_new).all(axis=(1, 2))
+            if lanes is not None:
+                failed |= lanes(x_new)
+            same = (x_new.view(np.int64) == x.view(np.int64)).all(axis=(1, 2))
+            ended = failed | same | (ends == t)
+            if ended.any():
+                live = report({ids[i]: not failed[i] for i in np.flatnonzero(ended)})
+                keep = [i for i, c in enumerate(ids) if not ended[i] and c in live]
+                ids, ends, x_new = [ids[i] for i in keep], ends[keep], x_new[keep]
+            x = x_new
+    if ids:
+        states = np.empty((ends[0] - t + 1, x.shape[-1]))
+        states[0] = x[0, 0]
+        report({ids[0]: _march(states, dt, rhs, one)[1] is None})
 
 
 def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
@@ -238,6 +291,64 @@ def _grid_step(t: float, dt: float, what: str) -> int:
     return k
 
 
+def _scenario_steps(sys: pm.SystemModel, scenario: Scenario, dt: float):
+    """The fault-on, clearing and end steps of a scenario on the ``dt``
+    grid, checked against the system and against each other."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    if abs(sys.load_level - scenario.load_level) > 1e-12:
+        raise ValueError(
+            f"system solved at load level {sys.load_level}, scenario wants "
+            f"{scenario.load_level}"
+        )
+    k_on = _grid_step(scenario.t_fault_on, dt, "t_fault_on")
+    k_clear = _grid_step(scenario.t_clear, dt, "t_clear")
+    k_end = _grid_step(scenario.t_end, dt, "t_end")
+    if not 0 <= k_on <= k_clear <= k_end:
+        raise ValueError("need 0 <= t_fault_on <= t_clear <= t_end")
+    return k_on, k_clear, k_end
+
+
+def _reference(sys: pm.SystemModel, policy: SwitchPolicy, norms: dict):
+    """``(id, position, fallback)`` of the run's reference machine: the
+    policy's, else :func:`select_reference_generator`'s choice."""
+    ref_id, fallback = policy.reference_generator, False
+    if ref_id is None:
+        ref_id, fallback = select_reference_generator(sys, norms, policy.norm_threshold_pu)
+    try:
+        return ref_id, sys.machine_pos(ref_id), fallback
+    except KeyError:
+        raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
+
+
+def _instability_stops(sys: pm.SystemModel, ref_pos: int, stop_deg: float | None):
+    """The stop test ``"unstable"`` once a study-area rotor angle departs
+    more than ``stop_deg`` from the reference machine's, as the pair
+    :func:`_march_lanes` takes: for one state, then for stacked lanes.
+    Both are None without a limit or a study area."""
+    study_pos = sys.study_idx
+    if stop_deg is None or not study_pos.size:
+        return None, None
+    stop_rad = math.radians(stop_deg)
+    d_idx = (study_pos * pm.N_STATES).tolist()
+    ref_d = ref_pos * pm.N_STATES
+
+    def one(x):
+        # Python floats: the same differences as numpy's, and cheaper
+        # than array calls on a handful of angles
+        ref = x.item(ref_d)
+        for i in d_idx:
+            if abs(x.item(i) - ref) > stop_rad:
+                return "unstable"
+        return False
+
+    def lanes(x):
+        rel = x[:, 0, d_idx] - x[:, 0, ref_d:ref_d + 1]
+        return (np.abs(rel) > stop_rad).any(axis=1)
+
+    return one, lanes
+
+
 def _either(first, second):
     """The stop ``first(x) or second(x)``; either test may be None."""
     if first is None or second is None:
@@ -265,19 +376,7 @@ def run_adaptive(
     norms serves both the hybrid's row mask and the reference-machine
     choice.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if abs(sys.load_level - scenario.load_level) > 1e-12:
-        raise ValueError(
-            f"system solved at load level {sys.load_level}, scenario wants "
-            f"{scenario.load_level}"
-        )
-    k_on = _grid_step(scenario.t_fault_on, dt, "t_fault_on")
-    k_clear = _grid_step(scenario.t_clear, dt, "t_clear")
-    k_end = _grid_step(scenario.t_end, dt, "t_end")
-    if not 0 <= k_on <= k_clear <= k_end:
-        raise ValueError("need 0 <= t_fault_on <= t_clear <= t_end")
-
+    k_on, k_clear, k_end = _scenario_steps(sys, scenario, dt)
     log = [SwitchEvent(0.0, "none", "full", "start", sys.load_level)]
 
     model = None
@@ -295,15 +394,9 @@ def run_adaptive(
 
     norms = pm.admittance_column_norms(sys)
     rows = hybrid_rows(sys, norms, policy.norm_threshold_pu)
-    ref_id = policy.reference_generator
-    if ref_id is None:
-        ref_id, fallback = select_reference_generator(sys, norms, policy.norm_threshold_pu)
-        if fallback:
-            log.append(SwitchEvent(0.0, "full", "full", "reference_fallback_max_inertia", sys.load_level))
-    try:
-        ref_pos = sys.machine_pos(ref_id)
-    except KeyError:
-        raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
+    ref_id, ref_pos, fallback = _reference(sys, policy, norms)
+    if fallback:
+        log.append(SwitchEvent(0.0, "full", "full", "reference_fallback_max_inertia", sys.load_level))
     study_pos = sys.study_idx
     level = model.load_level if model is not None else sys.load_level
 
@@ -324,20 +417,7 @@ def run_adaptive(
     def rhs_linear(x):
         return linear_rhs(model, x - model.x0)
 
-    unstable = None
-    if instability_stop_deg is not None and study_pos.size:
-        stop_rad = math.radians(instability_stop_deg)
-        d_idx = (study_pos * pm.N_STATES).tolist()
-        ref_d = ref_pos * pm.N_STATES
-
-        def unstable(x):
-            # Python floats: the same differences as numpy's, and cheaper
-            # than array calls on a handful of angles
-            ref = x.item(ref_d)
-            for i in d_idx:
-                if abs(x.item(i) - ref) > stop_rad:
-                    return "unstable"
-            return False
+    unstable = _instability_stops(sys, ref_pos, instability_stop_deg)[0]
 
     # (mode, right-hand side, last step, reason logged on entry, leave test)
     plan = [("full", rhs_pre, k_on, None, None), ("full", rhs_fault, k_clear, None, None)]
@@ -382,6 +462,98 @@ def run_adaptive(
         unstable_at=k * dt if end == "unstable" else None,
         reference=ref_id,
     )
+
+
+# A round runs at most LANE_MACHINES // machines lanes, and at least
+# MIN_LANES: each lane of a large system costs more, so fewer of them pay.
+LANE_MACHINES = 256
+MIN_LANES = 8
+
+
+class ClearingProbes:
+    """Stability verdicts of one fault, cleared after different numbers of
+    steps: the verdict for ``c`` steps is whether :func:`run_adaptive`
+    completes the scenario cleared at ``c * dt`` with
+    ``instability_stop_deg``.
+
+    Under a force_full policy the post-fault model is the full model, and
+    the probes of one :meth:`run` are lanes of :func:`_march_lanes`.  The
+    fault-on run is stepped once, as one state, up to the longest clearing
+    step asked for, and kept for later calls; each lane starts from its own
+    clearing state.  ``budget`` is the number of lanes worth running
+    together: ``max(MIN_LANES, LANE_MACHINES // machines)``.  Under any
+    other policy the post-fault segments switch model at different steps in
+    different lanes, so each call runs one probe through
+    :func:`run_adaptive`, and ``budget`` is 1.
+    """
+
+    def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
+                 fault_bus: int, dt: float, t_end: float, instability_stop_deg: float):
+        self.sys, self.model_set, self.policy = sys, model_set, policy
+        self.fault_bus, self.dt, self.t_end = fault_bus, dt, t_end
+        self.stop_deg = instability_stop_deg
+        # the checks a zero-duration probe, the first any search asks for,
+        # would fail before the search picks its durations
+        _scenario_steps(sys, self._scenario(0), dt)
+        self.lanes = policy.mode == "force_full"
+        self.budget = max(MIN_LANES, LANE_MACHINES // sys.n_machines) if self.lanes else 1
+        if self.lanes:
+            ref_pos = _reference(sys, policy, pm.admittance_column_norms(sys))[1]
+            self._stops = _instability_stops(sys, ref_pos, instability_stop_deg)
+        self._fault = sys.x0[None, :].copy()  # states 0.. of the fault-on run, as far as stepped
+        self._fault_end = None   # first step at which the fault-on run ended, if it did
+        self._yred_fault = None
+
+    def _scenario(self, steps: int) -> Scenario:
+        return Scenario(fault_bus=self.fault_bus, t_clear=round(steps * self.dt, 12),
+                        t_end=self.t_end, load_level=self.sys.load_level)
+
+    def _rhs_fault(self, x):
+        return pm._rhs(self.sys, self._yred_fault, x)
+
+    def _rhs_post(self, x):
+        return pm._rhs(self.sys, self.sys.y_red, x)
+
+    def _step_fault_on(self, top: int) -> None:
+        """Steps the fault-on run on to step ``top`` unless it ended."""
+        reached = len(self._fault) - 1
+        if self._fault_end is not None or top <= reached:
+            return
+        if self._yred_fault is None:
+            self._yred_fault = pm.apply_fault(self.sys, self.fault_bus)
+        states = np.empty((top + 1, self.sys.n_states))
+        states[:reached + 1] = self._fault
+        steps, end = _march(states[reached:], self.dt, self._rhs_fault, self._stops[0])
+        self._fault = states[:reached + steps + 1]
+        if end:
+            # a blow-up ends the run at the step that was not recorded
+            self._fault_end = reached + steps + (end == "blowup")
+
+    def run(self, steps, report) -> None:
+        """Probes the clearing steps ``steps``.  The first is asked for; the
+        others may be asked later and are not probed past the end of the
+        run.  Verdicts go to ``report({steps: verdict})`` as they are
+        reached, which returns the steps still wanted; the probes of the
+        others stop."""
+        asked = steps[0]
+        if not self.lanes:
+            traj = run_adaptive(self.sys, self.model_set, self._scenario(asked), self.policy,
+                                self.dt, instability_stop_deg=self.stop_deg)
+            report({asked: traj.completed})
+            return
+        k_end = _scenario_steps(self.sys, self._scenario(asked), self.dt)[2]
+        steps = [c for c in steps if c <= k_end]
+        self._step_fault_on(max(steps))
+        end = self._fault_end
+        # a fault-on run that ended fails every later clearing; a clearing
+        # at the end has no post-fault step to take
+        decided = {c: end is None or c < end
+                   for c in steps if c == k_end or (end is not None and c >= end)}
+        live = report(decided)
+        lanes = [c for c in steps if c in live and c not in decided]
+        if lanes:
+            _march_lanes(self._fault[lanes][:, None, :], lanes, [k_end - c for c in lanes],
+                         self.dt, self._rhs_post, self._stops, report)
 
 
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:

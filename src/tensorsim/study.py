@@ -6,6 +6,12 @@ on the identical time grid; rotor angles are always taken relative to the
 reference machine the runs used, in both trajectories, before
 differencing.  Timing rows report medians over repetitions and never
 include model build time (models are built offline).
+
+The CCT search is one bisection procedure driven by verdicts
+(:func:`_bisection`).  Its probes run in rounds, as lanes of
+:class:`tensorsim.simulate.ClearingProbes`, and the answer is the
+procedure replayed on their verdicts: the result of asking one duration at
+a time.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import power_model as pm
 from . import simulate as sim
-from .taylor import ModelSet, compress_taylor_terms, taylor_terms
+from .taylor import ModelSet, compress_taylor_terms, hybrid_rows, taylor_terms
 
 __all__ = [
     "GridMismatchError",
@@ -116,17 +123,83 @@ class CctResult:
     runs: list = field(default_factory=list)
 
 
-def _stable(sys, model_set, policy, bus, steps, dt, t_end):
-    scn = sim.Scenario(
-        fault_bus=bus,
-        t_clear=round(steps * dt, 12),
-        t_end=t_end,
-        load_level=sys.load_level,
+class _Open(Exception):
+    """The search needs a verdict it does not have yet."""
+
+    def __init__(self, steps: int):
+        super().__init__(steps)
+        self.steps = steps
+
+
+def _bisection(stable, fault_bus: int, mode: str, dt: float, max_duration: float) -> CctResult:
+    """The CCT procedure, driven by ``stable(steps)``, the verdict for a
+    fault cleared after ``steps`` integration steps.
+
+    Zero duration must be stable.  The duration doubles from 0.1 s until a
+    verdict is unstable or the cap ``max_duration`` is passed, and the cap
+    itself is tried once; bisection then narrows the bracket to one step.
+    The verdicts, in the order asked, are the result's ``runs``.
+    """
+    runs = []
+
+    def ask(steps):
+        ok = stable(steps)
+        runs.append((round(steps * dt, 12), bool(ok)))
+        return ok
+
+    if not ask(0):
+        raise CctError(f"bus {fault_bus}: unstable even with zero fault duration")
+    max_steps = int(round(max_duration / dt))
+    lo = 0
+    hi = max(1, int(round(0.1 / dt)))
+    while hi <= max_steps and ask(hi):
+        lo = hi
+        hi *= 2
+    if hi > max_steps:
+        if lo == max_steps or ask(max_steps):
+            return CctResult(
+                cct=round(max_steps * dt, 12), bus=fault_bus, mode=mode,
+                resolution=dt, stable_steps=max_steps, unstable_steps=None,
+                capped=True, runs=runs,
+            )
+        hi = max_steps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ask(mid):
+            lo = mid
+        else:
+            hi = mid
+    return CctResult(
+        cct=round(lo * dt, 12), bus=fault_bus, mode=mode, resolution=dt,
+        stable_steps=lo, unstable_steps=hi, capped=False, runs=runs,
     )
-    traj = sim.run_adaptive(
-        sys, model_set, scn, policy, dt, instability_stop_deg=180.0
-    )
-    return traj.completed
+
+
+def _open_questions(procedure, known: dict, budget: int) -> list:
+    """Up to ``budget`` questions ``(steps, assumed)`` that ``procedure``
+    (a function of the verdict callable) may still ask, given the
+    ``known`` verdicts, nearest first.  ``assumed`` holds the verdicts,
+    not yet known, on the way to the question.  Empty once the procedure
+    needs no unknown verdict."""
+    found, queue = [], deque([{}])
+    while queue and len(found) < budget:
+        assumed = queue.popleft()
+
+        def stable(steps):
+            if steps in known:
+                return known[steps]
+            if steps in assumed:
+                return assumed[steps]
+            raise _Open(steps)
+
+        try:
+            procedure(stable)
+        except _Open as exc:
+            found.append((exc.steps, assumed))
+            queue.extend({**assumed, exc.steps: ok} for ok in (True, False))
+        except CctError:
+            pass  # an outcome, not a question
+    return found
 
 
 def cct_search(
@@ -146,40 +219,32 @@ def cct_search(
     state blows up).  The returned duration is the longest stable one;
     the bracket (stable at cct, unstable one step later) is part of the
     result for post-hoc confirmation.
+
+    The procedure (:func:`_bisection`) runs in rounds.  A round probes, as
+    the lanes of one :class:`tensorsim.simulate.ClearingProbes` call, the
+    durations it may still ask for, nearest first, up to the probes'
+    budget; a probe stops once no remaining outcome can make the procedure
+    ask for it.  Each probe's verdict is that of the single run, so the
+    procedure, replayed on the verdicts, returns the sequential answer,
+    ``runs`` included.
     """
-    runs = []
+    probes = sim.ClearingProbes(sys, model_set, policy, fault_bus, dt, t_end, 180.0)
+    known = {}
 
-    def stable(steps):
-        ok = _stable(sys, model_set, policy, fault_bus, steps, dt, t_end)
-        runs.append((round(steps * dt, 12), bool(ok)))
-        return ok
+    def procedure(stable):
+        return _bisection(stable, fault_bus, policy.mode, dt, max_duration)
 
-    if not stable(0):
-        raise CctError(f"bus {fault_bus}: unstable even with zero fault duration")
-    max_steps = int(round(max_duration / dt))
-    lo = 0
-    hi = max(1, int(round(0.1 / dt)))
-    while hi <= max_steps and stable(hi):
-        lo = hi
-        hi *= 2
-    if hi > max_steps:
-        if lo == max_steps or stable(max_steps):
-            return CctResult(
-                cct=round(max_steps * dt, 12), bus=fault_bus, mode=policy.mode,
-                resolution=dt, stable_steps=max_steps, unstable_steps=None,
-                capped=True, runs=runs,
-            )
-        hi = max_steps
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CctResult(
-        cct=round(lo * dt, 12), bus=fault_bus, mode=policy.mode, resolution=dt,
-        stable_steps=lo, unstable_steps=hi, capped=False, runs=runs,
-    )
+    while True:
+        questions = _open_questions(procedure, known, probes.budget)
+        if not questions:
+            return procedure(known.__getitem__)
+
+        def wanted(verdicts):
+            known.update(verdicts)
+            return {steps for steps, assumed in questions if steps not in known
+                    and all(known.get(s, ok) == ok for s, ok in assumed.items())}
+
+        probes.run(list(dict.fromkeys(steps for steps, _ in questions)), wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +439,12 @@ def count_flops_unfolded(n: int) -> int:
 
 
 def count_flops_hybrid(sys: pm.SystemModel, r2: int, r3: int) -> int:
-    # row-masked combination evaluates both parents
+    """The hybrid at the default norm threshold: the full model alone when
+    its row mask covers every row (so the reduced model is not
+    evaluated), else both parents and the row-masked combination."""
+    rows = hybrid_rows(sys, pm.admittance_column_norms(sys), sim.SwitchPolicy().norm_threshold_pu)
+    if rows.all():
+        return count_flops_full(sys)
     n = sys.n_states
     return count_flops_full(sys) + count_flops_reduced(n, r2, r3) + n
 

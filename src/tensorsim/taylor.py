@@ -191,7 +191,7 @@ def jacobian(sys: pm.SystemModel) -> np.ndarray:
     1e4 times more accurate than a plain 1e-6 stencil, keeping
     fourth-order remainders visible.
 
-    The result is column-major: BLAS sums ``a1 @ dx`` in an order that
+    The result is column-major: BLAS sums ``dx @ a1.T`` in an order that
     depends on the layout, so the layout is part of every trajectory's
     bytes, and model sets persist it.
     """
@@ -433,19 +433,26 @@ class TaylorModel:
 
 
 def reduced_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
-    """Factored evaluation of the third-order deviation dynamics."""
+    """Factored evaluation of the third-order deviation dynamics.
+
+    ``dx`` is one deviation or stacked lanes of them, shape ``(..., n)``.
+    The products are taken in row form, ``dx @ M.T``, which has the bytes
+    of ``M @ dx`` for one state and gives each stacked ``(1, n)`` lane the
+    bytes of its call alone.
+    """
     r2, r3 = model._r2, model._r3
-    y = model._proj @ dx
-    g2 = y[:r2] * y[r2:2 * r2]
-    z = y[2 * r2:]
-    g3 = z[:r3] * z[r3:2 * r3] * z[2 * r3:]
-    return model.a1 @ dx + model._lead @ np.concatenate([g2, g3])
+    y = dx @ model._proj.T
+    g2 = y[..., :r2] * y[..., r2:2 * r2]
+    z = y[..., 2 * r2:]
+    g3 = z[..., :r3] * z[..., r3:2 * r3] * z[..., 2 * r3:]
+    return dx @ model.a1.T + np.concatenate([g2, g3], axis=-1) @ model._lead.T
 
 
 def linear_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
     """First-order (Jacobian-only) deviation dynamics, the comparison
-    baseline for linear model reduction."""
-    return model.a1 @ dx
+    baseline for linear model reduction; row form as in
+    :func:`reduced_rhs`."""
+    return dx @ model.a1.T
 
 
 def taylor_terms(sys: pm.SystemModel):
@@ -529,7 +536,8 @@ def hybrid_rhs(model: TaylorModel, rows: np.ndarray, x: np.ndarray,
 
     Full rows are evaluated on the pre-fault network by the same kernel as
     the plain full model, so they match it bit for bit; a mask over every
-    row returns them without evaluating the reduced model.
+    row returns them without evaluating the reduced model.  ``x`` may be
+    stacked lanes, as for :func:`reduced_rhs`.
     """
     full = pm._rhs(sys, sys.y_red, x)
     return full if rows.all() else np.where(rows, full, reduced_rhs(model, x - model.x0))

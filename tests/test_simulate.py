@@ -334,6 +334,30 @@ class TestSettledExit:
             # this equilibrium settles within 10 steps of the pre-fault segment
             assert stepped[0] <= 10
 
+    def test_lanes_leave_when_settled(self, wscc_spec):
+        # a lane at a state its step returns bit for bit leaves as stable
+        # after that step; the last lane goes on alone in _march, as one
+        # state, and ends stable after its own steps
+        sys_l = pm.build_system(wscc_spec, 0.8)  # settles within 10 steps
+        evals, reports = [], []
+
+        def rhs(x):
+            evals.append(x.shape)
+            return pm._rhs(sys_l, sys_l.y_red, x)
+
+        settled = sim.integrate(rhs, sys_l.x0, (0.0, 0.1), 0.01).states[-1]
+        assert sim._rk4(rhs, settled, 0.01).tobytes() == settled.tobytes()
+        x = np.stack([settled, sys_l.x0 + 1e-3])[:, None, :]
+        del evals[:]
+
+        def report(verdicts):
+            reports.append(verdicts)
+            return {"moved"}
+
+        sim._march_lanes(x, ["settled", "moved"], [5, 5], 0.01, rhs, (None, None), report)
+        assert reports == [{"settled": True}, {"moved": True}]
+        assert evals == [(2, 1, 27)] * 4 + [(27,)] * 16
+
     def test_integrate_signed_zero(self, monkeypatch):
         # From -0.0 the first step returns +0.0, equal in value but not in
         # bytes.  This right-hand side tells the two zeros apart, so the

@@ -91,6 +91,48 @@ class TestRmsError:
         assert got == float(np.sqrt(np.mean(d * d)) * 180.0 / math.pi)
 
 
+def _completes(sys, model_set, policy, bus, steps, dt=0.01, t_end=16.0):
+    """The single run behind one verdict of a CCT search."""
+    scn = sim.Scenario(fault_bus=bus, t_clear=round(steps * dt, 12), t_end=t_end,
+                       load_level=sys.load_level)
+    return sim.run_adaptive(sys, model_set, scn, policy, dt, instability_stop_deg=180.0).completed
+
+
+def _sequential_cct(sys, model_set, policy, bus, *, dt=0.01, t_end=16.0, max_duration=2.0):
+    """Oracle: the CCT search as one run_adaptive per duration, each asked
+    only after the verdict before it."""
+    runs = []
+
+    def stable(steps):
+        ok = _completes(sys, model_set, policy, bus, steps, dt, t_end)
+        runs.append((round(steps * dt, 12), bool(ok)))
+        return ok
+
+    if not stable(0):
+        raise study.CctError(f"bus {bus}: unstable even with zero fault duration")
+    max_steps = int(round(max_duration / dt))
+    lo = 0
+    hi = max(1, int(round(0.1 / dt)))
+    while hi <= max_steps and stable(hi):
+        lo = hi
+        hi *= 2
+    if hi > max_steps:
+        if lo == max_steps or stable(max_steps):
+            return study.CctResult(
+                cct=round(max_steps * dt, 12), bus=bus, mode=policy.mode, resolution=dt,
+                stable_steps=max_steps, unstable_steps=None, capped=True, runs=runs)
+        hi = max_steps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return study.CctResult(
+        cct=round(lo * dt, 12), bus=bus, mode=policy.mode, resolution=dt,
+        stable_steps=lo, unstable_steps=hi, capped=False, runs=runs)
+
+
 class TestCct:
     def test_zero_duration_stable(self, wscc_sys):
         pol = sim.SwitchPolicy(mode="force_full")
@@ -101,25 +143,72 @@ class TestCct:
     def test_bracket_confirmation(self, wscc_sys):
         pol = sim.SwitchPolicy(mode="force_full")
         res = study.cct_search(wscc_sys, None, pol, 7)
-        assert study._stable(wscc_sys, None, pol, 7, res.stable_steps, 0.01, 16.0)
-        assert not study._stable(wscc_sys, None, pol, 7, res.unstable_steps, 0.01, 16.0)
+        assert _completes(wscc_sys, None, pol, 7, res.stable_steps)
+        assert not _completes(wscc_sys, None, pol, 7, res.unstable_steps)
         assert res.unstable_steps == res.stable_steps + 1
 
-    def test_unstable_at_zero_raises(self, wscc_sys, monkeypatch):
-        pol = sim.SwitchPolicy(mode="force_full")
-        monkeypatch.setattr(study, "_stable", lambda *a, **k: False)
+    def test_unstable_at_zero_raises(self):
         with pytest.raises(study.CctError):
-            study.cct_search(wscc_sys, None, pol, 7)
+            study._bisection(lambda steps: False, 7, "force_full", 0.01, 2.0)
 
-    def test_cap_when_always_stable(self, wscc_sys, monkeypatch):
-        pol = sim.SwitchPolicy(mode="force_full")
-        monkeypatch.setattr(study, "_stable", lambda *a, **k: True)
+    def test_cap_when_always_stable(self):
         # 0.8 s and 0.1 s are reached exactly by doubling from 0.1 s; 70
         # steps of 0.01 s is 0.7000000000000001 s before rounding
         for cap in (0.5, 0.8, 0.1, 0.7):
-            res = study.cct_search(wscc_sys, None, pol, 7, max_duration=cap)
+            res = study._bisection(lambda steps: True, 7, "force_full", 0.01, cap)
             assert res.capped and res.cct == cap
             assert res.stable_steps == round(cap / 0.01) and res.unstable_steps is None
+
+    def test_open_questions_nearest_first(self):
+        def procedure(stable):
+            return study._bisection(stable, 7, "force_full", 0.01, 2.0)
+
+        found = study._open_questions(procedure, {}, 7)
+        assert [s for s, _ in found] == [0, 10, 20, 5, 40, 15, 7]
+        assert found[3][1] == {0: True, 10: False}
+        # an unstable zero duration ends the procedure: no question below it
+        assert study._open_questions(procedure, {0: False}, 7) == []
+        known = {0: True, 10: True, 20: False, 15: True, 17: False, 16: True}
+        assert study._open_questions(procedure, known, 7) == []
+
+    @pytest.mark.parametrize("bus", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["force_full", "adaptive"])
+    def test_equals_sequential_search(self, wscc_sys, wscc_model_set, bus, mode):
+        ms = None if mode == "force_full" else wscc_model_set
+        pol = sim.SwitchPolicy(mode=mode)
+        assert study.cct_search(wscc_sys, ms, pol, bus) == _sequential_cct(wscc_sys, ms, pol, bus)
+
+    @pytest.mark.parametrize("bus", [1, 2, 3, 4, 5])
+    def test_ring_equals_sequential_search(self, ring5_sys, bus):
+        pol = sim.SwitchPolicy(mode="force_full")
+        res = study.cct_search(ring5_sys, None, pol, bus)
+        assert res == _sequential_cct(ring5_sys, None, pol, bus)
+        assert res.capped or bus != 5
+
+    @pytest.mark.parametrize("cap", [0.1, 0.5, 0.7, 0.8])
+    @pytest.mark.parametrize("case", ["wscc9", "ring5"])
+    def test_cap_edges_equal_sequential_search(self, wscc_sys, ring5_sys, case, cap):
+        sys_, bus = (wscc_sys, 7) if case == "wscc9" else (ring5_sys, 5)
+        pol = sim.SwitchPolicy(mode="force_full")
+        res = study.cct_search(sys_, None, pol, bus, max_duration=cap)
+        assert res == _sequential_cct(sys_, None, pol, bus, max_duration=cap)
+
+    def test_fault_on_instability_equals_sequential_search(self, wscc_sys):
+        # the search asks for 0.4 s on bus 4, and its fault-on run is already
+        # unstable before it would clear
+        pol = sim.SwitchPolicy(mode="force_full")
+        traj = sim.run_adaptive(wscc_sys, None, sim.Scenario(fault_bus=4, t_clear=0.4), pol,
+                                instability_stop_deg=180.0)
+        assert traj.unstable_at is not None and traj.unstable_at < 0.4
+        res = study.cct_search(wscc_sys, None, pol, 4)
+        assert (0.4, False) in res.runs
+        assert res == _sequential_cct(wscc_sys, None, pol, 4)
+
+    @pytest.mark.parametrize("dt,t_end", [(0.02, 16.0), (0.01, 8.0)])
+    def test_grid_and_horizon_equal_sequential_search(self, wscc_sys, dt, t_end):
+        pol = sim.SwitchPolicy(mode="force_full")
+        res = study.cct_search(wscc_sys, None, pol, 7, dt=dt, t_end=t_end)
+        assert res == _sequential_cct(wscc_sys, None, pol, 7, dt=dt, t_end=t_end)
 
     @pytest.mark.parametrize("bus,level", [(1, 0.90), (5, 1.15), (8, 0.90)])
     def test_recorded_cct_at_level_without_model(self, wscc_spec, wscc_model_set, bus, level):
@@ -267,6 +356,14 @@ class TestTiming:
         assert study.count_flops_linear(n) < red
         # the dense unfolded evaluation dwarfs everything else
         assert unf > 100 * full
+
+    def test_hybrid_flops_count_what_runs(self, wscc_sys, ring5_sys):
+        # wscc9's default hybrid keeps every row full, so only the full
+        # model runs; ring:5's reduces some rows, so both parents run
+        assert study.count_flops_hybrid(wscc_sys, 30, 36) == study.count_flops_full(wscc_sys) == 531
+        n = ring5_sys.n_states
+        assert study.count_flops_hybrid(ring5_sys, 6, 5) == (
+            study.count_flops_full(ring5_sys) + study.count_flops_reduced(n, 6, 5) + n)
 
     def test_repetition_floor(self, wscc_sys):
         scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.5)
