@@ -439,10 +439,15 @@ def count_flops_unfolded(n: int) -> int:
 
 
 def count_flops_hybrid(sys: pm.SystemModel, r2: int, r3: int) -> int:
-    """The hybrid at the default norm threshold: the full model alone when
-    its row mask covers every row (so the reduced model is not
+    """The hybrid at the default norm threshold; see :func:`_hybrid_flops`."""
+    return _hybrid_flops(sys, r2, r3, sim.SwitchPolicy().norm_threshold_pu)
+
+
+def _hybrid_flops(sys: pm.SystemModel, r2: int, r3: int, norm_threshold_pu: float) -> int:
+    """The hybrid with the row mask of ``norm_threshold_pu``: the full model
+    alone when the mask covers every row (so the reduced model is not
     evaluated), else both parents and the row-masked combination."""
-    rows = hybrid_rows(sys, pm.admittance_column_norms(sys), sim.SwitchPolicy().norm_threshold_pu)
+    rows = hybrid_rows(sys, pm.admittance_column_norms(sys), norm_threshold_pu)
     if rows.all():
         return count_flops_full(sys)
     n = sys.n_states
@@ -502,7 +507,7 @@ def timing_compare(
             fl = (
                 count_flops_reduced(n, *mdl.ranks)
                 if mode in ("force_taylor", "adaptive")
-                else count_flops_hybrid(sys, *mdl.ranks)
+                else _hybrid_flops(sys, *mdl.ranks, policy.norm_threshold_pu)
             )
         rows.append(
             TimingRow(

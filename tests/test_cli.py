@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensorsim import cases, cli
+from tensorsim import cases, cli, study
 from tensorsim import taylor
 from tensorsim.tensor_ops import cp_decompose
 
@@ -349,6 +349,22 @@ class TestBuildAndConsumers:
         times = json.loads(next(out.glob("compare_times_*.json")).read_text())
         assert next(out.glob("compare_times_*.csv")).exists()
         assert {r["mode"] for r in times["rows"]} == {"force_full", "force_taylor"}
+
+    @pytest.mark.parametrize("threshold", ["1.0", "3.0"])
+    def test_compare_counts_the_hybrid_that_runs(self, tmp_path, threshold):
+        # G1's norm is about 1.98 pu: at 1.0 the mask keeps every row full,
+        # so only the full model runs; at 3.0 both parents run
+        out = tmp_path / "h"
+        code = run_cli(
+            ["compare", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.05",
+             "--t-end", "0.2", "--repetitions", "5", "--modes", "force_hybrid",
+             "--norm-threshold", threshold, "--out", out, *FAST]
+        )
+        assert code == 0
+        flops = json.loads(next(out.glob("compare_flops_*.json")).read_text())
+        full, n = flops["full"], flops["n_states"]
+        expected = full if threshold == "1.0" else full + study.count_flops_reduced(n, 6, 6) + n
+        assert flops["per_eval"]["force_hybrid"] == expected
 
     def test_threshold_search_command(self, tmp_path):
         out = tmp_path / "th"

@@ -9,15 +9,15 @@ lists (tracked and untracked, not ignored), so uncommitted edits are
 measured and the provenance flags them.  Then, in one session and on one
 machine:
 
-* ``perfbench/run.py --workload all --seed 1 --seconds 22`` in ``--pairs``
-  alternating pairs (the parent runs first in even pairs, the change in
-  odd ones);
-* the CLI commands ``cct`` (force_full and adaptive, bus 7) and ``sweep``
-  (bus 7) on ``wscc9``, each a new process;
-* single CCT searches, in one process per side and pair: ``ring:33``
-  buses 1 and 17 in force_full, and ``wscc9`` bus 7 in adaptive mode with
-  the acceptance model set;
-* the wall time of the tier-1 suite.
+* ten alternating pairs (the parent runs first in even pairs, the change
+  in odd ones); in each, a side runs
+  ``perfbench/run.py --workload all --seed 1 --seconds 22``, then
+  - the CLI commands ``cct`` (force_full and adaptive, bus 7) and
+    ``sweep`` (bus 7) on ``wscc9``, each a new process;
+  - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
+    force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
+    model set;
+* the wall time of the tier-1 suite, once per side.
 
 Each metric gets each side's median and quartiles, the ratio of the
 medians (change over parent) and the number of pairs the change won; every
@@ -42,6 +42,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "22"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -189,9 +190,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to measure against")
     ap.add_argument("--out", required=True, help="BENCH file to write")
-    ap.add_argument("--pairs", type=int, default=10, help="alternating perfbench pairs")
-    ap.add_argument("--search-pairs", type=int, default=3,
-                    help="alternating pairs of CLI and single-search timings")
     a = ap.parse_args(argv)
     record = {"provenance": _provenance(a.parent),
               "perfbench_command": ["python3", *PERFBENCH]}
@@ -199,15 +197,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="tensorsim-bench-") as tmp:
         base = Path(tmp)
         trees = _export(a.parent, base)
-        for k in range(max(a.pairs, a.search_pairs)):
+        for k in range(PAIRS):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                values = {}
-                if k < a.pairs:
-                    values.update(_perfbench(trees[side]))
-                if k < a.search_pairs:
-                    values.update(_cli(trees[side], base / "cli"))
-                    values.update(_searches(trees[side]))
+                values = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
+                          **_searches(trees[side])}
                 runs.append({"side": side, "pair": k, "values": values})
                 print(f"pair {k} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
         for side in SIDES:
