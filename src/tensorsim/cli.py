@@ -64,7 +64,6 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--dt": dict(type=float, default=0.01),
     "--t-end": dict(type=float, default=16.0, help="simulation length, seconds"),
-    "--load-swap": dict(type=float, default=0.10),
     "--norm-threshold": dict(type=float, default=1.0),
     "--reference-gen": dict(default=None),
     "--angle-threshold": dict(type=float, default=26.0),
@@ -80,7 +79,7 @@ _FLAGS = {
     "--mode": dict(default="adaptive", choices=sim.MODES),
 }
 _COMMON = ("--system", "--config", "--out", "--seed", "--dt", "--t-end",
-           "--load-swap", "--norm-threshold", "--reference-gen")
+           "--norm-threshold", "--reference-gen")
 _MODELS = ("--levels", "--ranks", "--models")
 _SCENARIO = ("--fault-bus", "--t-on", "--t-clear", "--load-level")
 
@@ -229,7 +228,6 @@ def _parse_ranks(text):
 
 _POLICY_FIELDS = {
     "angle_threshold": "angle_threshold_deg",
-    "load_swap": "load_change_fraction",
     "reference_gen": "reference_generator",
     "mode": "mode",
     "norm_threshold": "norm_threshold_pu",
@@ -284,6 +282,8 @@ def _cmd_build(args, outdir, cfg_hash):
     levels = _parse_levels(args.levels)
     extras = {}
     if ranks == "auto":
+        # a level that cannot be solved fails the build: find it before the search
+        ty.solve_levels(sys_m, levels)
         policy = _policy(args)
         bus = args.fault_bus
         if bus is None:

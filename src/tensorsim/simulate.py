@@ -7,10 +7,10 @@ Taylor model.  The post-fault switch is one way: once the deviation drops
 below the threshold the run stays on the reduced model, which prevents
 chattering without a hysteresis band.
 
-Load tracking: when the scenario's load level differs from the active
-representative model level by more than the configured fraction, the
-Taylor model is swapped for the nearest representative level in the
-direction of the change before the run starts.
+Load tracking: a run that needs a Taylor model takes the one of the
+representative level nearest the scenario's load level
+(:meth:`tensorsim.taylor.ModelSet.model_for`), and every switch-log
+record after the start names that level.
 
 :func:`run_adaptive` runs these phases as a plan of segments, each one
 fixed right-hand side stepped by the RK4 loop :func:`_march`;
@@ -54,7 +54,6 @@ __all__ = [
     "integrate",
     "max_rotor_deviation",
     "select_reference_generator",
-    "resolve_active_level",
     "run_adaptive",
     "export_trajectory_csv",
     "export_switch_log",
@@ -79,7 +78,6 @@ class Scenario:
 @dataclass(frozen=True)
 class SwitchPolicy:
     angle_threshold_deg: float = 26.0
-    load_change_fraction: float = 0.10
     reference_generator: str | None = None
     representative_levels: tuple = (0.8, 1.0, 1.2)
     mode: str = "adaptive"
@@ -88,8 +86,6 @@ class SwitchPolicy:
     def __post_init__(self):
         if self.angle_threshold_deg <= 0:
             raise ValueError("angle threshold must be > 0")
-        if not 0.0 < self.load_change_fraction < 1.0:
-            raise ValueError("load change fraction must be in (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'")
 
@@ -262,28 +258,6 @@ def select_reference_generator(sys: pm.SystemModel, norms: dict | None = None,
     return best, fallback
 
 
-def resolve_active_level(levels, scenario_level: float, fraction: float):
-    """Representative level serving a scenario.
-
-    Starts from the level nearest nominal (1.0); if the scenario level
-    differs by strictly more than ``fraction`` (with a 1e-12 guard so
-    exact boundary arithmetic like |1.1 - 1.0| does not trip on float
-    representation), swaps to the nearest level in the direction of the
-    change.
-    """
-    levels = sorted(levels)
-    active = min(levels, key=lambda l: (abs(l - 1.0), l))
-    if abs(scenario_level - active) > fraction + 1e-12:
-        if scenario_level > active:
-            side = [l for l in levels if l > active]
-        else:
-            side = [l for l in levels if l < active]
-        if side:
-            new = min(side, key=lambda l: (abs(l - scenario_level), l))
-            return new, new != active
-    return active, False
-
-
 def _grid_step(t: float, dt: float, what: str) -> int:
     k = int(round(t / dt))
     if abs(k * dt - t) > 1e-9:
@@ -383,14 +357,7 @@ def run_adaptive(
     if policy.mode != "force_full":
         if model_set is None:
             raise ValueError("this policy mode needs a prebuilt model set")
-        active, swapped = resolve_active_level(
-            model_set.levels, scenario.load_level, policy.load_change_fraction
-        )
-        if active not in model_set.models:
-            raise ValueError(f"missing model for required level {active}")
-        model = model_set.models[active]
-        if swapped:
-            log.append(SwitchEvent(0.0, "full", "full", "load_level_swap", active))
+        model = model_set.model_for(scenario.load_level)
 
     norms = pm.admittance_column_norms(sys)
     rows = hybrid_rows(sys, norms, policy.norm_threshold_pu)

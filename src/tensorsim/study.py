@@ -438,15 +438,12 @@ def count_flops_unfolded(n: int) -> int:
     return 2 * n**2 + (n**2 + 2 * n * n**2) + (n**3 + 2 * n * n**3) + 2 * n
 
 
-def count_flops_hybrid(sys: pm.SystemModel, r2: int, r3: int) -> int:
-    """The hybrid at the default norm threshold; see :func:`_hybrid_flops`."""
-    return _hybrid_flops(sys, r2, r3, sim.SwitchPolicy().norm_threshold_pu)
-
-
-def _hybrid_flops(sys: pm.SystemModel, r2: int, r3: int, norm_threshold_pu: float) -> int:
-    """The hybrid with the row mask of ``norm_threshold_pu``: the full model
-    alone when the mask covers every row (so the reduced model is not
-    evaluated), else both parents and the row-masked combination."""
+def count_flops_hybrid(sys: pm.SystemModel, r2: int, r3: int,
+                       norm_threshold_pu: float = sim.SwitchPolicy.norm_threshold_pu) -> int:
+    """The hybrid with the row mask of ``norm_threshold_pu`` (by default the
+    switching policy's): the full model alone when the mask covers every
+    row (so the reduced model is not evaluated), else both parents and the
+    row-masked combination."""
     rows = hybrid_rows(sys, pm.admittance_column_norms(sys), norm_threshold_pu)
     if rows.all():
         return count_flops_full(sys)
@@ -499,15 +496,11 @@ def timing_compare(
         elif mode == "force_linear":
             fl = count_flops_linear(n)
         else:
-            mdl = model_set.models[
-                sim.resolve_active_level(
-                    model_set.levels, scenario.load_level, policy.load_change_fraction
-                )[0]
-            ]
+            mdl = model_set.model_for(scenario.load_level)
             fl = (
                 count_flops_reduced(n, *mdl.ranks)
                 if mode in ("force_taylor", "adaptive")
-                else _hybrid_flops(sys, *mdl.ranks, policy.norm_threshold_pu)
+                else count_flops_hybrid(sys, *mdl.ranks, policy.norm_threshold_pu)
             )
         rows.append(
             TimingRow(
@@ -588,8 +581,10 @@ def load_sweep(
     """For each load level: re-solve the operating point, find the
     full-model CCT, run a fault of exactly CCT duration under the
     adaptive policy, and report per-generator RMS errors against the full
-    model.  Representative-model swapping follows the policy; infeasible
-    levels are skipped with a diagnostic row."""
+    model.  Each level's adaptive run takes the model of the representative
+    level nearest it (:meth:`tensorsim.taylor.ModelSet.model_for`), which
+    its row names as ``model_level``; infeasible levels are skipped with a
+    diagnostic row."""
     rows = []
     for lv in levels:
         lv = float(lv)
@@ -610,10 +605,7 @@ def load_sweep(
         )
         base = sim.run_adaptive(sys_l, None, scn, full_policy, dt)
         adap = sim.run_adaptive(sys_l, model_set, scn, replace(policy, mode="adaptive"), dt)
-        active, swapped = sim.resolve_active_level(
-            model_set.levels, lv, policy.load_change_fraction
-        )
-        row = {"level": lv, "cct_s": cct.cct, "model_level": active, "swapped": swapped}
+        row = {"level": lv, "cct_s": cct.cct, "model_level": model_set.model_for(lv).load_level}
         if adap.completed and base.completed:
             err = rms_error(adap, base, sys_l)
             for g, v in err.items():

@@ -35,7 +35,9 @@ kernel: an einsum over a dense tensor's nonzero slices
 a gather/segment-sum compressed to its distinct trailing column tuples,
 so that the factor rows of each tuple are multiplied once, not once per
 nonzero.  A model set records the ALS fit, convergence flag and
-iteration count of each level and order in its metadata.
+iteration count of each level and order in its metadata, and serves any
+load level the model of its nearest representative level
+(:meth:`ModelSet.model_for`).
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ __all__ = [
     "linear_rhs",
     "hybrid_rows",
     "hybrid_rhs",
+    "solve_levels",
     "build_model_set",
     "save_model_set",
     "load_model_set",
@@ -553,6 +556,33 @@ class ModelSet:
     models: dict
     meta: dict = field(default_factory=dict)
 
+    def model_for(self, level: float) -> TaylorModel:
+        """The model of the representative level nearest ``level``: the one
+        place a load level picks a model.  Levels whose distances differ by
+        at most 1e-9 tie (so 1.1 is as near 1.0 as 1.2), and a tie goes to
+        the level nearest nominal (1.0), then to the lower one."""
+        gap = min(abs(lv - level) for lv in self.levels)
+        active = min((lv for lv in self.levels if abs(lv - level) <= gap + 1e-9),
+                     key=lambda lv: (abs(lv - 1.0), lv))
+        if active not in self.models:
+            raise ValueError(f"missing model for required level {active}")
+        return self.models[active]
+
+
+def solve_levels(sys: pm.SystemModel, levels) -> dict:
+    """The system re-solved at each load level, by level.  Any level whose
+    power flow or equilibrium fails aborts with a combined diagnostic that
+    names every failing level."""
+    systems, failures = {}, []
+    for lv in levels:
+        try:
+            systems[lv] = sys if lv == sys.load_level else pm.build_system(sys.spec, lv)
+        except (pm.PowerFlowError, pm.EquilibriumError) as exc:
+            failures.append(f"level {lv}: {exc}")
+    if failures:
+        raise ModelBuildError("model set build aborted: " + "; ".join(failures))
+    return systems
+
 
 def build_model_set(
     sys: pm.SystemModel,
@@ -563,15 +593,15 @@ def build_model_set(
     cp_options: dict | None = None,
 ) -> ModelSet:
     """One Taylor model per representative load level, each built around
-    that level's own re-solved equilibrium.  Any per-level failure aborts
-    the set build with a combined diagnostic."""
+    that level's own re-solved equilibrium.  Every level is solved first
+    (:func:`solve_levels`); any per-level failure aborts the set build with
+    a combined diagnostic."""
     models = {}
     failures = []
-    for lv in levels:
+    for lv, sys_l in solve_levels(sys, levels).items():
         try:
-            sys_l = sys if lv == sys.load_level else pm.build_system(sys.spec, lv)
             models[lv] = build_taylor_model(sys_l, ranks, seed=seed, cp_options=cp_options)
-        except (pm.PowerFlowError, pm.EquilibriumError, ModelBuildError, NumericalError) as exc:
+        except (ModelBuildError, NumericalError) as exc:
             failures.append(f"level {lv}: {exc}")
     if failures:
         raise ModelBuildError("model set build aborted: " + "; ".join(failures))

@@ -12,7 +12,7 @@ from tensorsim.tensor_ops import cp_decompose
 
 FAST = ["--levels", "1.0", "--ranks", "6,6", "--dt", "0.01"]
 
-COMMON_OPTIONS = {"system", "config", "out", "seed", "dt", "t_end", "load_swap",
+COMMON_OPTIONS = {"system", "config", "out", "seed", "dt", "t_end",
                   "norm_threshold", "reference_gen"}
 MODELS = {"levels", "ranks", "models"}
 SCENARIO = {"fault_bus", "t_on", "t_clear", "load_level"}
@@ -26,9 +26,10 @@ COMMAND_OPTIONS = {
     "sweep": MODELS | {"angle_threshold", "fault_bus", "sweep_levels"},
     "compare": MODELS | SCENARIO | {"angle_threshold", "modes", "repetitions"},
 }
-# flags the handlers never read; every command also lost --horizon.  On
-# threshold-search and sweep, argparse reads --mode as an abbreviation of
-# --models, so it is not listed there
+# flags every command lost; each is also an unknown config key
+REMOVED_EVERYWHERE = ("--horizon", "--load-swap")
+# flags the handlers never read.  On threshold-search and sweep, argparse
+# reads --mode as an abbreviation of --models, so it is not listed there
 REMOVED_FLAGS = {
     "cct": ("--t-on", "--t-clear"),
     "rank-search": ("--levels", "--ranks"),
@@ -68,7 +69,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in sorted(COMMAND_OPTIONS)
-        for flag in ["--horizon", *REMOVED_FLAGS.get(command, ())]
+        for flag in [*REMOVED_EVERYWHERE, *REMOVED_FLAGS.get(command, ())]
     ])
     def test_removed_flag_exit_two(self, tmp_path, capsys, command, flag):
         code = run_cli([command, "--system", "wscc9", flag, "1", "--out", tmp_path])
@@ -191,6 +192,17 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("flag", REMOVED_EVERYWHERE)
+    def test_removed_flag_config_key(self, tmp_path, capsys, flag):
+        key = flag[2:].replace("-", "_")
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"fault_bus": 7, key: 1}))
+        code = run_cli(["simulate", "--system", "wscc9", "--t-clear", "0.1", "--mode",
+                        "force_full", "--config", cfgp, "--out", tmp_path / "o"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{cfgp}: unknown config key '{key}'"
 
     def test_config_value_parsed_like_flag(self, tmp_path):
         # a JSON string goes through the flag's type, as on the command
@@ -325,6 +337,19 @@ class TestBuildAndConsumers:
             {"r2": c["r2"], "r3": c["r3"]} for c in curve]
         assert all(np.isfinite(c["max_rms_deg"]) for c in curve)
         assert taylor.load_model_set(out / "models.npz").models[1.0].n == 63
+
+    def test_build_auto_ranks_solves_levels_first(self, tmp_path, capsys, monkeypatch):
+        # ring:7 has no equilibrium at the default levels 0.8 and 1.2: the
+        # build fails on them before any rank search
+        def no_search(*args, **kwargs):
+            raise AssertionError("the rank search ran before every level was solved")
+
+        monkeypatch.setattr(study, "rank_search", no_search)
+        code = run_cli(["build", "--system", "ring:7", "--ranks", "auto", "--out", tmp_path / "o"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ModelBuildError"
+        assert "level 0.8:" in err["message"] and "level 1.2:" in err["message"]
 
     def test_cct_command(self, tmp_path):
         out = tmp_path / "c"

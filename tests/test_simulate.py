@@ -7,6 +7,7 @@ import pytest
 from tensorsim import power_model as pm
 from tensorsim import simulate as sim
 from tensorsim import study
+from tensorsim.taylor import ModelSet
 
 
 class TestIntegrate:
@@ -100,26 +101,47 @@ class TestReferenceSelection:
 
 
 class TestActiveLevel:
+    """``ModelSet.model_for``: the nearest representative level's model
+    serves a scenario; each level stands in for its model here."""
+
+    @staticmethod
+    def _set(levels, missing=()):
+        return ModelSet(levels=levels, models={lv: lv for lv in levels if lv not in missing})
+
+    # swapped: served by another model than the nominal level's
     @pytest.mark.parametrize(
         "scenario_level,expected,swapped",
         [
             (1.0, 1.0, False),
             (1.05, 1.0, False),
-            (1.10, 1.0, False),  # exactly 10%: stays despite float residue
+            (1.10, 1.0, False),  # 1.0 and 1.2 tie, within float residue: nominal wins
             (1.15, 1.2, True),
             (1.20, 1.2, True),
-            (0.90, 1.0, False),
+            (0.90, 1.0, False),  # 0.8 and 1.0 tie likewise
             (0.85, 0.8, True),
             (0.80, 0.8, True),
         ],
     )
     def test_swap_rule(self, scenario_level, expected, swapped):
-        lv, sw = sim.resolve_active_level((0.8, 1.0, 1.2), scenario_level, 0.10)
-        assert lv == expected and sw == swapped
+        ms = self._set((0.8, 1.0, 1.2))
+        assert ms.model_for(scenario_level) == expected
+        assert (ms.model_for(scenario_level) != ms.model_for(1.0)) == swapped
 
     def test_no_level_on_change_side(self):
-        lv, sw = sim.resolve_active_level((1.0,), 1.5, 0.10)
-        assert lv == 1.0 and not sw
+        assert self._set((1.0,)).model_for(1.5) == 1.0
+
+    def test_nearest_level_inside_ten_percent(self):
+        # 1.08 is within 10 % of nominal, yet nearer 1.1
+        assert self._set((0.9, 1.0, 1.1)).model_for(1.08) == 1.1
+
+    def test_tie_without_nominal_goes_to_lower(self):
+        assert self._set((0.9, 1.1)).model_for(1.0) == 0.9
+
+    def test_missing_model(self):
+        ms = self._set((0.8, 1.0, 1.2), missing=(1.0,))
+        assert ms.model_for(0.8) == 0.8
+        with pytest.raises(ValueError, match="missing model for required level 1.0"):
+            ms.model_for(1.05)
 
 
 class TestRunAdaptive:
@@ -207,8 +229,6 @@ class TestRunAdaptive:
             assert drift < 1e-6, (mode, drift)
 
     def test_missing_level_model(self, wscc_sys, wscc_model_set):
-        from tensorsim.taylor import ModelSet
-
         broken = ModelSet(levels=(0.8, 1.0, 1.2),
                           models={0.8: wscc_model_set.models[0.8]})
         pol = sim.SwitchPolicy()

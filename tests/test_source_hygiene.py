@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, every ``__all__`` entry resolves,
 every function the benchmark's tracer wraps exists, every flag the
 benchmark passes to a CLI command is an option of that command, every
-optional parameter of the library is set by some caller, and only
-``taylor`` reaches the derivative enumerators.
+optional parameter of the library is set by some caller, every field of
+a library dataclass is read somewhere, and only ``taylor`` reaches the
+derivative enumerators.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -19,9 +20,15 @@ SRC = ROOT / "src" / "tensorsim"
 TRACER = ROOT / "perfbench" / "tracer.py"
 BENCH_ARGV_FILES = [ROOT / "perfbench" / "bench.py", ROOT / "perfbench" / "tests" / "test_bench.py"]
 CALLER_DIRS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+READER_DIRS = CALLER_DIRS + [ROOT / "tools"]
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 # taylor.taylor_terms picks among these by state count; nothing else may
 ENUMERATORS = {"jacobian", "taylor_tensors", "_structured_coo"}
+# dataclass fields that nothing reads, and why each stays
+UNREAD_FIELDS = {
+    "SwitchPolicy.representative_levels": "goes once perfbench/make_refs.py stops passing it",
+    "SystemSpec.base_mva": "a validated input-schema field; the model works in per unit",
+}
 
 
 def _parse(name):
@@ -185,3 +192,31 @@ def test_optional_params_are_set():
                 if not any(sets(c, param, index) for c in calls.get(fn.name, [])):
                     unset.append(f"{fn.name}.{param}")
     assert not unset, f"optional parameters no caller sets: {sorted(unset)}"
+
+
+def _dataclass_fields(tree):
+    """``Class.field`` of each annotated field of the module's dataclasses."""
+    def is_dataclass(dec):
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+
+    return [f"{c.name}.{a.target.id}" for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and any(is_dataclass(d) for d in c.decorator_list)
+            for a in c.body if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
+
+
+def test_dataclass_fields_are_read():
+    # a field nothing reads is a value carried for no one; an attribute read
+    # or a getattr with a literal name counts, on any object
+    read = set()
+    for path in sorted(p for d in READER_DIRS for p in d.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and _callee(node) == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    fields = [f for name in MODULES for f in _dataclass_fields(_parse(name))]
+    assert set(UNREAD_FIELDS) <= set(fields), "an excepted field is gone: drop its exception"
+    unread = sorted(f for f in fields if f.split(".")[1] not in read)
+    assert unread == sorted(UNREAD_FIELDS), f"dataclass fields nothing reads: {unread}"
