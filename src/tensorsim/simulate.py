@@ -12,19 +12,23 @@ representative level nearest the scenario's load level
 (:meth:`tensorsim.taylor.ModelSet.model_for`), and every switch-log
 record after the start names that level.
 
-:func:`run_adaptive` runs these phases as a plan of segments, each one
-fixed right-hand side stepped by the RK4 loop :func:`_march`;
+What a run of one fault decides before its first step (the model, the
+hybrid's row mask, the reference machine, the instability stop, the
+faulted network) is one :class:`_Contingency`.  It plans the phases as
+segments, each one fixed right-hand side stepped by the RK4 loop
+:func:`_march`, and steps the plan on from any start step;
 :func:`integrate` is a single segment.  Within a segment, a step that
 returns its input state bit for bit would repeat at every later step, so
 the loop fills the rest of the segment with that state: the trajectory is
 the one stepped to the segment's end.
 
-Single runs step one 1-D state.  :class:`ClearingProbes` gives the
-verdicts of many runs of one fault, cleared at different steps, which a
-CCT search asks for: under the full model they step in lockstep as the
-lanes of :func:`_march_lanes`, a ``(B, 1, n)`` state whose every lane
-gets the bytes of its own single run.  :func:`_rk4` is the one step
-formula of both loops.
+:func:`run_adaptive` steps one 1-D state.  :class:`ClearingProbes` gives
+the verdicts of many runs of one fault, cleared at different steps, which
+a CCT search asks for, from one contingency and one fault-on run; under
+the full model they step in lockstep as the lanes of
+:func:`_march_lanes`, a ``(B, 1, n)`` state whose every lane gets the
+bytes of its own single run.  :func:`_rk4` is the one step formula of
+both loops.
 """
 
 from __future__ import annotations
@@ -275,52 +279,15 @@ def _scenario_steps(sys: pm.SystemModel, scenario: Scenario, dt: float):
             f"system solved at load level {sys.load_level}, scenario wants "
             f"{scenario.load_level}"
         )
-    k_on = _grid_step(scenario.t_fault_on, dt, "t_fault_on")
-    k_clear = _grid_step(scenario.t_clear, dt, "t_clear")
-    k_end = _grid_step(scenario.t_end, dt, "t_end")
+    return _ordered(_grid_step(scenario.t_fault_on, dt, "t_fault_on"),
+                    _grid_step(scenario.t_clear, dt, "t_clear"),
+                    _grid_step(scenario.t_end, dt, "t_end"))
+
+
+def _ordered(k_on: int, k_clear: int, k_end: int):
     if not 0 <= k_on <= k_clear <= k_end:
         raise ValueError("need 0 <= t_fault_on <= t_clear <= t_end")
     return k_on, k_clear, k_end
-
-
-def _reference(sys: pm.SystemModel, policy: SwitchPolicy, norms: dict):
-    """``(id, position, fallback)`` of the run's reference machine: the
-    policy's, else :func:`select_reference_generator`'s choice."""
-    ref_id, fallback = policy.reference_generator, False
-    if ref_id is None:
-        ref_id, fallback = select_reference_generator(sys, norms, policy.norm_threshold_pu)
-    try:
-        return ref_id, sys.machine_pos(ref_id), fallback
-    except KeyError:
-        raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
-
-
-def _instability_stops(sys: pm.SystemModel, ref_pos: int, stop_deg: float | None):
-    """The stop test ``"unstable"`` once a study-area rotor angle departs
-    more than ``stop_deg`` from the reference machine's, as the pair
-    :func:`_march_lanes` takes: for one state, then for stacked lanes.
-    Both are None without a limit or a study area."""
-    study_pos = sys.study_idx
-    if stop_deg is None or not study_pos.size:
-        return None, None
-    stop_rad = math.radians(stop_deg)
-    d_idx = (study_pos * pm.N_STATES).tolist()
-    ref_d = ref_pos * pm.N_STATES
-
-    def one(x):
-        # Python floats: the same differences as numpy's, and cheaper
-        # than array calls on a handful of angles
-        ref = x.item(ref_d)
-        for i in d_idx:
-            if abs(x.item(i) - ref) > stop_rad:
-                return "unstable"
-        return False
-
-    def lanes(x):
-        rel = x[:, 0, d_idx] - x[:, 0, ref_d:ref_d + 1]
-        return (np.abs(rel) > stop_rad).any(axis=1)
-
-    return one, lanes
 
 
 def _either(first, second):
@@ -328,6 +295,116 @@ def _either(first, second):
     if first is None or second is None:
         return first or second
     return lambda x: first(x) or second(x)
+
+
+class _Contingency:
+    """What a run of one fault on one solved system decides before its
+    first step, whatever its clearing step: the model
+    (:meth:`ModelSet.model_for`), one set of admittance column norms for
+    both the hybrid's row mask and the reference machine (the policy's,
+    else :func:`select_reference_generator`'s choice), the instability
+    stops, the faulted network (built by the first plan that faults),
+    each model's right-hand side and the segment plan.
+
+    ``stops`` is the test ``"unstable"`` once a study-area rotor angle
+    departs more than ``stop_deg`` from the reference machine's, as the
+    pair :func:`_march_lanes` takes: for one state, then for stacked
+    lanes; both are None without a limit or a study area.
+    """
+
+    def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
+                 fault_bus: int, stop_deg: float | None):
+        self.sys, self.policy, self.fault_bus = sys, policy, fault_bus
+        self.model = None
+        if policy.mode != "force_full":
+            if model_set is None:
+                raise ValueError("this policy mode needs a prebuilt model set")
+            self.model = model_set.model_for(sys.load_level)
+        self.level = sys.load_level if self.model is None else self.model.load_level
+        norms = pm.admittance_column_norms(sys)
+        rows = hybrid_rows(sys, norms, policy.norm_threshold_pu)
+        ref_id, self.fallback = policy.reference_generator, False
+        if ref_id is None:
+            ref_id, self.fallback = select_reference_generator(sys, norms, policy.norm_threshold_pu)
+        try:
+            self.ref_id, self.ref_pos = ref_id, sys.machine_pos(ref_id)
+        except KeyError:
+            raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
+        self.study_pos = sys.study_idx
+        self.stops = None, None
+        if stop_deg is not None and self.study_pos.size:
+            stop_rad = math.radians(stop_deg)
+            d_idx = (self.study_pos * pm.N_STATES).tolist()
+            ref_d = self.ref_pos * pm.N_STATES
+
+            def one(x):
+                # Python floats: the same differences as numpy's, and cheaper
+                # than array calls on a handful of angles
+                ref = x.item(ref_d)
+                for i in d_idx:
+                    if abs(x.item(i) - ref) > stop_rad:
+                        return "unstable"
+                return False
+
+            def lanes(x):
+                rel = x[:, 0, d_idx] - x[:, 0, ref_d:ref_d + 1]
+                return (np.abs(rel) > stop_rad).any(axis=1)
+
+            self.stops = one, lanes
+        self._yred_fault = None
+        model = self.model
+        # the right-hand side of each model, and "fault" of the faulted network
+        self.rhs = {
+            "full": lambda x: pm._rhs(sys, sys.y_red, x),
+            "fault": lambda x: pm._rhs(sys, self._yred_fault, x),
+            "hybrid": lambda x: hybrid_rhs(model, rows, x, sys),
+            "taylor": lambda x: reduced_rhs(model, x - model.x0),
+            "linear": lambda x: linear_rhs(model, x - model.x0),
+        }
+
+    def small_deviation(self, x):
+        dev = max_rotor_deviation(x, self.sys.x0, self.ref_pos, self.study_pos)
+        return dev <= self.policy.angle_threshold_deg and "deviation_below_threshold"
+
+    def plan(self, k_on: int, k_clear: int, k_end: int) -> list:
+        """The segments of the run faulted from step ``k_on`` to
+        ``k_clear`` and ended at ``k_end``, each ``(mode, right-hand side,
+        last step, reason logged on entry, leave test)``."""
+        rhs = self.rhs
+        plan = [("full", rhs["full"], k_on, None, None)]
+        if k_clear > k_on:
+            if self._yred_fault is None:
+                self._yred_fault = pm.apply_fault(self.sys, self.fault_bus)
+            plan.append(("full", rhs["fault"], k_clear, None, None))
+        if self.policy.mode == "adaptive":
+            return plan + [
+                ("hybrid", rhs["hybrid"], k_end, "post_fault_large_disturbance", self.small_deviation),
+                ("taylor", rhs["taylor"], k_end, "post_fault_small_disturbance", None),
+            ]
+        mode = self.policy.mode.removeprefix("force_")  # a forced mode names its model
+        return plan + [(mode, rhs[mode], k_end, "post_fault_forced", None)]
+
+    def step(self, states, k: int, plan: list, dt: float, log: list):
+        """Steps ``plan`` on from ``states[k]``, a state the run reached on
+        the full model, into ``states[k + 1:]``; returns ``(k, end,
+        modes)``: the last step recorded, why stepping ended (as
+        :func:`_march` says) and the model mode of each step taken.  Every
+        switch of model is appended to ``log``."""
+        modes, current, end = [], "full", None
+        for mode, rhs, last, reason, leave in plan:
+            # a leave test is also tested on the segment's start state
+            if last <= k or (leave is not None and leave(states[k])):
+                continue
+            if mode != current:
+                # a segment ended by its leave test names the reason for the switch
+                log.append(SwitchEvent(k * dt, current, mode, end or reason, self.level))
+                current = mode
+            steps, end = _march(states[k:last + 1], dt, rhs, _either(self.stops[0], leave))
+            modes += [mode] * steps
+            k += steps
+            if end in ("blowup", "unstable"):
+                break
+        return k, end, modes
 
 
 def run_adaptive(
@@ -346,80 +423,17 @@ def run_adaptive(
     comparisons between modes isolate right-hand-side cost.  An adaptive
     run leaves the hybrid segment for the Taylor one once the rotor
     deviation is within the threshold, tested on the segment's start
-    state and after each recorded step.  One set of admittance column
-    norms serves both the hybrid's row mask and the reference-machine
-    choice.
+    state and after each recorded step.  The run's set-up is one
+    :class:`_Contingency`.
     """
     k_on, k_clear, k_end = _scenario_steps(sys, scenario, dt)
+    run = _Contingency(sys, model_set, policy, scenario.fault_bus, instability_stop_deg)
     log = [SwitchEvent(0.0, "none", "full", "start", sys.load_level)]
-
-    model = None
-    if policy.mode != "force_full":
-        if model_set is None:
-            raise ValueError("this policy mode needs a prebuilt model set")
-        model = model_set.model_for(scenario.load_level)
-
-    norms = pm.admittance_column_norms(sys)
-    rows = hybrid_rows(sys, norms, policy.norm_threshold_pu)
-    ref_id, ref_pos, fallback = _reference(sys, policy, norms)
-    if fallback:
+    if run.fallback:
         log.append(SwitchEvent(0.0, "full", "full", "reference_fallback_max_inertia", sys.load_level))
-    study_pos = sys.study_idx
-    level = model.load_level if model is not None else sys.load_level
-
-    yred_fault = pm.apply_fault(sys, scenario.fault_bus) if k_clear > k_on else None
-
-    def rhs_pre(x):
-        return pm._rhs(sys, sys.y_red, x)
-
-    def rhs_fault(x):
-        return pm._rhs(sys, yred_fault, x)
-
-    def rhs_hybrid(x):
-        return hybrid_rhs(model, rows, x, sys)
-
-    def rhs_taylor(x):
-        return reduced_rhs(model, x - model.x0)
-
-    def rhs_linear(x):
-        return linear_rhs(model, x - model.x0)
-
-    unstable = _instability_stops(sys, ref_pos, instability_stop_deg)[0]
-
-    # (mode, right-hand side, last step, reason logged on entry, leave test)
-    plan = [("full", rhs_pre, k_on, None, None), ("full", rhs_fault, k_clear, None, None)]
-    if policy.mode == "adaptive":
-        def small_deviation(x):
-            dev = max_rotor_deviation(x, sys.x0, ref_pos, study_pos)
-            return dev <= policy.angle_threshold_deg and "deviation_below_threshold"
-
-        plan += [("hybrid", rhs_hybrid, k_end, "post_fault_large_disturbance", small_deviation),
-                 ("taylor", rhs_taylor, k_end, "post_fault_small_disturbance", None)]
-    else:
-        mode, rhs = {
-            "force_full": ("full", rhs_pre),
-            "force_hybrid": ("hybrid", rhs_hybrid),
-            "force_taylor": ("taylor", rhs_taylor),
-            "force_linear": ("linear", rhs_linear),
-        }[policy.mode]
-        plan.append((mode, rhs, k_end, "post_fault_forced", None))
-
     states = np.empty((k_end + 1, sys.x0.size))
     states[0] = sys.x0
-    modes, current, k, end = [], "full", 0, None
-    for mode, rhs, last, reason, leave in plan:
-        # a leave test is also tested on the segment's start state
-        if last <= k or (leave is not None and leave(states[k])):
-            continue
-        if mode != current:
-            # a segment ended by its leave test names the reason for the switch
-            log.append(SwitchEvent(k * dt, current, mode, end or reason, level))
-            current = mode
-        steps, end = _march(states[k:last + 1], dt, rhs, _either(unstable, leave))
-        modes += [mode] * steps
-        k += steps
-        if end in ("blowup", "unstable"):
-            break
+    k, end, modes = run.step(states, 0, run.plan(k_on, k_clear, k_end), dt, log)
     return Trajectory(
         times=np.arange(k + 1) * dt,
         states=states[: k + 1],
@@ -427,7 +441,7 @@ def run_adaptive(
         modes=modes,
         blowup_time=(k + 1) * dt if end == "blowup" else None,
         unstable_at=k * dt if end == "unstable" else None,
-        reference=ref_id,
+        reference=run.ref_id,
     )
 
 
@@ -443,58 +457,42 @@ class ClearingProbes:
     completes the scenario cleared at ``c * dt`` with
     ``instability_stop_deg``.
 
-    Under a force_full policy the post-fault model is the full model, and
-    the probes of one :meth:`run` are lanes of :func:`_march_lanes`.  The
-    fault-on run is stepped once, as one state, up to the longest clearing
-    step asked for, and kept for later calls; each lane starts from its own
-    clearing state.  ``budget`` is the number of lanes worth running
-    together: ``max(MIN_LANES, LANE_MACHINES // machines)``.  Under any
+    One :class:`_Contingency` serves every probe, and the fault-on run is
+    stepped once, as one state, up to the longest clearing step asked for;
+    once it has ended, every later clearing fails.  A probe steps the plan
+    on from its clearing state.  Under a force_full policy the probes of
+    one :meth:`run` are lanes of :func:`_march_lanes`, at most ``budget``
+    of them: ``max(MIN_LANES, LANE_MACHINES // machines)``.  Under any
     other policy the post-fault segments switch model at different steps in
-    different lanes, so each call runs one probe through
-    :func:`run_adaptive`, and ``budget`` is 1.
+    different lanes, so ``budget`` is 1.
     """
 
     def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
                  fault_bus: int, dt: float, t_end: float, instability_stop_deg: float):
-        self.sys, self.model_set, self.policy = sys, model_set, policy
-        self.fault_bus, self.dt, self.t_end = fault_bus, dt, t_end
-        self.stop_deg = instability_stop_deg
+        self.sys, self.dt = sys, dt
         # the checks a zero-duration probe, the first any search asks for,
         # would fail before the search picks its durations
-        _scenario_steps(sys, self._scenario(0), dt)
+        self.k_end = _scenario_steps(
+            sys, Scenario(fault_bus, 0.0, t_end=t_end, load_level=sys.load_level), dt)[2]
+        self._run = _Contingency(sys, model_set, policy, fault_bus, instability_stop_deg)
         self.lanes = policy.mode == "force_full"
         self.budget = max(MIN_LANES, LANE_MACHINES // sys.n_machines) if self.lanes else 1
-        if self.lanes:
-            ref_pos = _reference(sys, policy, pm.admittance_column_norms(sys))[1]
-            self._stops = _instability_stops(sys, ref_pos, instability_stop_deg)
         self._fault = sys.x0[None, :].copy()  # states 0.. of the fault-on run, as far as stepped
         self._fault_end = None   # first step at which the fault-on run ended, if it did
-        self._yred_fault = None
-
-    def _scenario(self, steps: int) -> Scenario:
-        return Scenario(fault_bus=self.fault_bus, t_clear=round(steps * self.dt, 12),
-                        t_end=self.t_end, load_level=self.sys.load_level)
-
-    def _rhs_fault(self, x):
-        return pm._rhs(self.sys, self._yred_fault, x)
-
-    def _rhs_post(self, x):
-        return pm._rhs(self.sys, self.sys.y_red, x)
 
     def _step_fault_on(self, top: int) -> None:
-        """Steps the fault-on run on to step ``top`` unless it ended."""
+        """Steps the fault-on run on to step ``top`` unless it ended: the
+        plan of the run cleared at ``top`` and ended there."""
         reached = len(self._fault) - 1
         if self._fault_end is not None or top <= reached:
             return
-        if self._yred_fault is None:
-            self._yred_fault = pm.apply_fault(self.sys, self.fault_bus)
         states = np.empty((top + 1, self.sys.n_states))
         states[:reached + 1] = self._fault
-        steps, end = _march(states[reached:], self.dt, self._rhs_fault, self._stops[0])
-        self._fault = states[:reached + steps + 1]
+        k, end, _ = self._run.step(states, reached, self._run.plan(0, top, top), self.dt, [])
+        self._fault = states[:k + 1]
         if end:
             # a blow-up ends the run at the step that was not recorded
-            self._fault_end = reached + steps + (end == "blowup")
+            self._fault_end = k + (end == "blowup")
 
     def run(self, steps, report) -> None:
         """Probes the clearing steps ``steps``.  The first is asked for; the
@@ -503,24 +501,27 @@ class ClearingProbes:
         reached, which returns the steps still wanted; the probes of the
         others stop."""
         asked = steps[0]
-        if not self.lanes:
-            traj = run_adaptive(self.sys, self.model_set, self._scenario(asked), self.policy,
-                                self.dt, instability_stop_deg=self.stop_deg)
-            report({asked: traj.completed})
-            return
-        k_end = _scenario_steps(self.sys, self._scenario(asked), self.dt)[2]
-        steps = [c for c in steps if c <= k_end]
+        _ordered(0, asked, self.k_end)  # refused past the horizon, as a single run is
+        steps = [c for c in steps if c <= self.k_end] if self.lanes else [asked]
         self._step_fault_on(max(steps))
         end = self._fault_end
         # a fault-on run that ended fails every later clearing; a clearing
         # at the end has no post-fault step to take
         decided = {c: end is None or c < end
-                   for c in steps if c == k_end or (end is not None and c >= end)}
+                   for c in steps if c == self.k_end or (end is not None and c >= end)}
         live = report(decided)
-        lanes = [c for c in steps if c in live and c not in decided]
-        if lanes:
-            _march_lanes(self._fault[lanes][:, None, :], lanes, [k_end - c for c in lanes],
-                         self.dt, self._rhs_post, self._stops, report)
+        probes = [c for c in steps if c in live and c not in decided]
+        if not probes:
+            return
+        if self.lanes:
+            _march_lanes(self._fault[probes][:, None, :], probes, [self.k_end - c for c in probes],
+                         self.dt, self._run.rhs["full"], self._run.stops, report)
+        else:
+            # the run's plan, stepped on from its clearing state
+            states = np.empty((self.k_end + 1, self.sys.n_states))
+            states[asked] = self._fault[asked]
+            end = self._run.step(states, asked, self._run.plan(0, asked, self.k_end), self.dt, [])[1]
+            report({asked: end not in ("blowup", "unstable")})
 
 
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:

@@ -400,8 +400,6 @@ class TaylorModel:
     a3: CpFactors
     ranks: tuple
     fits: tuple
-    a2_raw: Tensor | None = field(default=None, repr=False)
-    a3_raw: Tensor | None = field(default=None, repr=False)
 
     # evaluation caches (leading factors with weights folded in, stacked
     # projection matrix) built once per model
@@ -485,19 +483,17 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
                           cp_options: dict | None = None) -> TaylorModel:
     """The :class:`TaylorModel` of ``sys`` from its terms ``(a1, t2, t3)``.
 
-    ``t2``/``t3`` are dense :class:`Tensor` objects, kept on the model as
-    raw oracle tensors, or ``(coords, values)`` pairs.  ``ranks`` is
-    ``(r2, r3)`` for ALS compression seeded with ``seed`` and ``seed + 1``,
-    or ``"full"`` for the exact constructive factors of dense terms.
-    ``cp_options`` reach the ALS kernel of either format unchanged, so an
-    unknown option raises ``TypeError``.
+    ``t2``/``t3`` are dense :class:`Tensor` objects or ``(coords, values)``
+    pairs.  ``ranks`` is ``(r2, r3)`` for ALS compression seeded with
+    ``seed`` and ``seed + 1``, or ``"full"`` for the exact constructive
+    factors of dense terms.  ``cp_options`` reach the ALS kernel of either
+    format unchanged, so an unknown option raises ``TypeError``.
     """
     a1, t2, t3 = terms
     opts = dict(cp_options or {})
-    dense = isinstance(t2, Tensor)
     if ranks == "full":
         f2, f3 = cp_exact(t2), cp_exact(t3)
-    elif dense:
+    elif isinstance(t2, Tensor):
         f2 = cp_decompose(t2, int(ranks[0]), seed=seed, **opts)
         f3 = cp_decompose(t3, int(ranks[1]), seed=seed + 1, **opts)
     else:
@@ -512,8 +508,6 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
         a3=f3,
         ranks=(f2.rank, f3.rank),
         fits=(f2.fit, f3.fit),
-        a2_raw=t2 if dense else None,
-        a3_raw=t3 if dense else None,
     )
 
 
@@ -623,8 +617,7 @@ def build_model_set(
 
 
 def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:
-    """Persist a model set to ``.npz``.  Arrays round-trip bit-faithfully;
-    raw oracle tensors are not persisted."""
+    """Persist a model set to ``.npz``.  Arrays round-trip bit-faithfully."""
     meta = dict(ms.meta)
     if extra_meta:
         meta.update(extra_meta)

@@ -30,8 +30,14 @@ def wscc_model_set(wscc_sys):
 
 
 @pytest.fixture(scope="session")
-def full_rank_model(wscc_sys):
-    return taylor.build_taylor_model(wscc_sys, "full")
+def wscc_terms(wscc_sys):
+    """The raw terms ``(a1, t2, t3)``, dense tensors at 27 states."""
+    return taylor.taylor_terms(wscc_sys)
+
+
+@pytest.fixture(scope="session")
+def full_rank_model(wscc_sys, wscc_terms):
+    return taylor.compress_taylor_terms(wscc_sys, wscc_terms, "full")
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 every function the benchmark's tracer wraps exists, every flag the
 benchmark passes to a CLI command is an option of that command, every
 optional parameter of the library is set by some caller, every field of
-a library dataclass is read somewhere, and only ``taylor`` reaches the
-derivative enumerators.
+a library dataclass is read somewhere, only ``taylor`` reaches the
+derivative enumerators, and one call site outside ``power_model`` builds
+a faulted network.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -110,6 +111,15 @@ def test_enumerators_only_in_taylor(name):
     # enumerator by size, or one that fails beyond the dense limit
     found = sorted(_taken_from_taylor(_parse(name)) & ENUMERATORS)
     assert not found, f"{name} takes derivative enumerators from taylor: {found}"
+
+
+def test_one_fault_call_site():
+    # every run of a fault takes its faulted network from one place, which
+    # a CCT search builds once however many durations it asks for
+    sites = [f"{name}.py:{node.lineno}" for name in MODULES if name != "power_model"
+             for node in ast.walk(_parse(name))
+             if isinstance(node, ast.Call) and _callee(node) == "apply_fault"]
+    assert len(sites) == 1, f"apply_fault called outside power_model at {sites}"
 
 
 @pytest.mark.parametrize("name", MODULES)

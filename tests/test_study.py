@@ -172,7 +172,7 @@ class TestCct:
         assert study._open_questions(procedure, known, 7) == []
 
     @pytest.mark.parametrize("bus", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["force_full", "adaptive"])
+    @pytest.mark.parametrize("mode", sim.MODES)
     def test_equals_sequential_search(self, wscc_sys, wscc_model_set, bus, mode):
         ms = None if mode == "force_full" else wscc_model_set
         pol = sim.SwitchPolicy(mode=mode)
@@ -203,6 +203,27 @@ class TestCct:
         res = study.cct_search(wscc_sys, None, pol, 4)
         assert (0.4, False) in res.runs
         assert res == _sequential_cct(wscc_sys, None, pol, 4)
+
+    @pytest.mark.parametrize("bus", [7, 4])
+    def test_adaptive_search_sets_up_the_fault_once(self, wscc_sys, wscc_model_set, monkeypatch,
+                                                    bus):
+        # every probe steps on from the one fault-on run, which on bus 4 is
+        # already unstable before the 0.4 s the search asks for
+        pol = sim.SwitchPolicy()
+        want = _sequential_cct(wscc_sys, wscc_model_set, pol, bus)
+        assert bus != 4 or (0.4, False) in want.runs
+        monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a single run started"))
+        faults, apply_fault = [], pm.apply_fault
+        monkeypatch.setattr(pm, "apply_fault", lambda *a: faults.append(a) or apply_fault(*a))
+        assert study.cct_search(wscc_sys, wscc_model_set, pol, bus) == want
+        assert [b for _, b in faults] == [bus]
+
+    @pytest.mark.parametrize("mode", ["force_full", "adaptive"])
+    def test_duration_past_horizon_rejected(self, wscc_sys, wscc_model_set, mode):
+        # the search asks for 0.2 s, which is past the end of the run
+        ms = None if mode == "force_full" else wscc_model_set
+        with pytest.raises(ValueError, match=r"need 0 <= t_fault_on <= t_clear <= t_end"):
+            study.cct_search(wscc_sys, ms, sim.SwitchPolicy(mode=mode), 7, t_end=0.15)
 
     @pytest.mark.parametrize("dt,t_end", [(0.02, 16.0), (0.01, 8.0)])
     def test_grid_and_horizon_equal_sequential_search(self, wscc_sys, dt, t_end):

@@ -190,23 +190,23 @@ class TestReducedRhs:
         n = full_rank_model.n
         assert np.array_equal(taylor.reduced_rhs(full_rank_model, np.zeros(n)), np.zeros(n))
 
-    def test_matches_kronecker_oracle(self, wscc_sys, full_rank_model):
+    def test_matches_kronecker_oracle(self, wscc_sys, wscc_terms, full_rank_model):
         rng = np.random.default_rng(4)
-        a2m = matricize_mode1(full_rank_model.a2_raw)
-        a3m = matricize_mode1(full_rank_model.a3_raw)
+        a2m = matricize_mode1(wscc_terms[1])
+        a3m = matricize_mode1(wscc_terms[2])
         for _ in range(3):
             dx = 0.1 * rng.standard_normal(wscc_sys.n_states)
             direct = full_rank_model.a1 @ dx + a2m @ kron(dx, dx) + a3m @ kron(dx, kron(dx, dx))
             fact = taylor.reduced_rhs(full_rank_model, dx)
             assert np.linalg.norm(direct - fact) / np.linalg.norm(direct) < 1e-8
 
-    def test_matches_mode_product_oracle(self, wscc_sys, full_rank_model):
+    def test_matches_mode_product_oracle(self, wscc_sys, wscc_terms, full_rank_model):
         rng = np.random.default_rng(5)
         dx = 0.05 * rng.standard_normal(wscc_sys.n_states)
         row = dx[None, :]
-        quad = mode_k_product(mode_k_product(full_rank_model.a2_raw, row, 2), row, 3)
+        quad = mode_k_product(mode_k_product(wscc_terms[1], row, 2), row, 3)
         cub = mode_k_product(
-            mode_k_product(mode_k_product(full_rank_model.a3_raw, row, 2), row, 3), row, 4
+            mode_k_product(mode_k_product(wscc_terms[2], row, 2), row, 3), row, 4
         )
         direct = full_rank_model.a1 @ dx + quad.array.reshape(-1) + cub.array.reshape(-1)
         fact = taylor.reduced_rhs(full_rank_model, dx)
@@ -399,10 +399,10 @@ class TestModelSet:
 
 class TestDenseKernel:
     @pytest.mark.parametrize("order, rank", [(2, 30), (3, 36)])
-    def test_support_kernel_matches_full_contraction(self, full_rank_model, order, rank):
+    def test_support_kernel_matches_full_contraction(self, wscc_terms, order, rank):
         # cp_decompose contracts only the nonzero slices; through the same
         # ALS loop, a plain MTTKRP over every entry must give the same iterates
-        t = full_rank_model.a2_raw if order == 2 else full_rank_model.a3_raw
+        t = wscc_terms[order - 1]
         a = t.array
         d = a.ndim
         assert not np.all(np.any(a != 0, axis=tuple(range(1, d))))
@@ -457,10 +457,10 @@ class TestStructuredPath:
         assert np.all(np.diff(f.fit_history) > -1e-10)
 
     @pytest.mark.parametrize("order", [2, 3])
-    def test_dense_and_coo_kernels_agree(self, full_rank_model, order):
+    def test_dense_and_coo_kernels_agree(self, wscc_terms, order):
         # one ALS loop, two MTTKRP kernels: same seed and options must give
         # the same iterates whichever storage the tensor arrives in
-        t = full_rank_model.a2_raw if order == 2 else full_rank_model.a3_raw
+        t = wscc_terms[order - 1]
         coords = np.argwhere(t.array != 0.0)
         values = t.array[tuple(coords.T)]
         opts = dict(seed=3, max_iters=20, fit_tolerance=1e-12, restarts=2)
