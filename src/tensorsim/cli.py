@@ -94,7 +94,7 @@ def _parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, help, *flags):
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         for flag in _COMMON + flags:
             sp.add_argument(flag, **_FLAGS[flag])
         return sp
@@ -177,7 +177,7 @@ def _config_defaults(path, command_parser) -> dict:
 def _parse(argv):
     """Parse the command line.  A config file's values become the
     command's defaults, and the command line is parsed again, so a flag
-    given there (abbreviated or not) wins."""
+    given there wins."""
     parser, commands = _parser()
     args = parser.parse_args(argv)
     if args.config:

@@ -24,11 +24,12 @@ the one stepped to the segment's end.
 
 :func:`run_adaptive` steps one 1-D state.  :class:`ClearingProbes` gives
 the verdicts of many runs of one fault, cleared at different steps, which
-a CCT search asks for, from one contingency and one fault-on run; under
-the full model they step in lockstep as the lanes of
-:func:`_march_lanes`, a ``(B, 1, n)`` state whose every lane gets the
-bytes of its own single run.  :func:`_rk4` is the one step formula of
-both loops.
+a CCT search asks for, from one contingency and one fault-on run, stepped
+once up to the search's cap.  Every round of probes is one call of
+:func:`_march_lanes`, a ``(B, 1, n)`` state under the full model whose
+every lane gets the bytes of its own single run; its last lane steps the
+contingency's plan on alone, as the fault-on run does.  :func:`_rk4` is
+the one step formula of both loops.
 """
 
 from __future__ import annotations
@@ -165,13 +166,12 @@ def _march(states, dt: float, rhs, stop=None):
     return len(states) - 1, None
 
 
-def _march_lanes(x, ids, ends, dt: float, rhs, stops, report):
+def _march_lanes(x, ids, ends, dt: float, rhs, stop, report, alone):
     """RK4 of stacked lanes in lockstep, for their verdicts only.
 
     ``x`` holds one ``(1, n)`` state per lane, named by ``ids``; lane ``i``
-    ends after ``ends[i]`` steps.  ``stops`` is the stop test as a pair:
-    for one state, as :func:`_march` takes it, and for stacked lanes, one
-    boolean per lane; either may be None.  A lane ends as :func:`_march`
+    ends after ``ends[i]`` steps.  ``stop`` is the stop test of stacked
+    lanes, one boolean per lane, or None.  A lane ends as :func:`_march`
     would end its run: False when its next step is not finite or is
     stopped, True when the step returns its input bit for bit or is its
     last.  After each step in which lanes end, ``report({id: verdict})``
@@ -179,18 +179,18 @@ def _march_lanes(x, ids, ends, dt: float, rhs, stops, report):
 
     Stacked as ``(B, 1, n)``, every lane's right-hand side has the bytes of
     a call on its state alone, so a lane's verdict is that of the run.
-    The last lane is stepped by :func:`_march` on its own state, which
-    costs less than a batch of one.
+    The last lane goes on alone, which costs less than a batch of one:
+    ``alone(id, t, state)`` steps it on from its 1-D state after ``t``
+    steps and returns its verdict.
     """
-    one, lanes = stops
     ids, ends, t = list(ids), np.asarray(ends), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while len(ids) > 1:
             x_new = _rk4(rhs, x, dt)
             t += 1
             failed = ~np.isfinite(x_new).all(axis=(1, 2))
-            if lanes is not None:
-                failed |= lanes(x_new)
+            if stop is not None:
+                failed |= stop(x_new)
             same = (x_new.view(np.int64) == x.view(np.int64)).all(axis=(1, 2))
             ended = failed | same | (ends == t)
             if ended.any():
@@ -199,9 +199,7 @@ def _march_lanes(x, ids, ends, dt: float, rhs, stops, report):
                 ids, ends, x_new = [ids[i] for i in keep], ends[keep], x_new[keep]
             x = x_new
     if ids:
-        states = np.empty((ends[0] - t + 1, x.shape[-1]))
-        states[0] = x[0, 0]
-        report({ids[0]: _march(states, dt, rhs, one)[1] is None})
+        report({ids[0]: alone(ids[0], t, x[0, 0])})
 
 
 def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
@@ -306,10 +304,11 @@ class _Contingency:
     stops, the faulted network (built by the first plan that faults),
     each model's right-hand side and the segment plan.
 
-    ``stops`` is the test ``"unstable"`` once a study-area rotor angle
-    departs more than ``stop_deg`` from the reference machine's, as the
-    pair :func:`_march_lanes` takes: for one state, then for stacked
-    lanes; both are None without a limit or a study area.
+    ``stop`` is the test ``"unstable"`` once a study-area rotor angle
+    departs more than ``stop_deg`` from the reference machine's, as
+    :func:`_march` takes it; ``lane_stop`` is the same test of stacked
+    lanes, as :func:`_march_lanes` takes it.  Both are None without a limit
+    or a study area.
     """
 
     def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
@@ -331,13 +330,13 @@ class _Contingency:
         except KeyError:
             raise ValueError(f"reference generator '{ref_id}' is not a machine of the system") from None
         self.study_pos = sys.study_idx
-        self.stops = None, None
+        self.stop = self.lane_stop = None
         if stop_deg is not None and self.study_pos.size:
             stop_rad = math.radians(stop_deg)
             d_idx = (self.study_pos * pm.N_STATES).tolist()
             ref_d = self.ref_pos * pm.N_STATES
 
-            def one(x):
+            def stop(x):
                 # Python floats: the same differences as numpy's, and cheaper
                 # than array calls on a handful of angles
                 ref = x.item(ref_d)
@@ -346,11 +345,11 @@ class _Contingency:
                         return "unstable"
                 return False
 
-            def lanes(x):
+            def lane_stop(x):
                 rel = x[:, 0, d_idx] - x[:, 0, ref_d:ref_d + 1]
                 return (np.abs(rel) > stop_rad).any(axis=1)
 
-            self.stops = one, lanes
+            self.stop, self.lane_stop = stop, lane_stop
         self._yred_fault = None
         model = self.model
         # the right-hand side of each model, and "fault" of the faulted network
@@ -399,7 +398,7 @@ class _Contingency:
                 # a segment ended by its leave test names the reason for the switch
                 log.append(SwitchEvent(k * dt, current, mode, end or reason, self.level))
                 current = mode
-            steps, end = _march(states[k:last + 1], dt, rhs, _either(self.stops[0], leave))
+            steps, end = _march(states[k:last + 1], dt, rhs, _either(self.stop, leave))
             modes += [mode] * steps
             k += steps
             if end in ("blowup", "unstable"):
@@ -457,71 +456,66 @@ class ClearingProbes:
     completes the scenario cleared at ``c * dt`` with
     ``instability_stop_deg``.
 
-    One :class:`_Contingency` serves every probe, and the fault-on run is
-    stepped once, as one state, up to the longest clearing step asked for;
-    once it has ended, every later clearing fails.  A probe steps the plan
-    on from its clearing state.  Under a force_full policy the probes of
-    one :meth:`run` are lanes of :func:`_march_lanes`, at most ``budget``
-    of them: ``max(MIN_LANES, LANE_MACHINES // machines)``.  Under any
-    other policy the post-fault segments switch model at different steps in
-    different lanes, so ``budget`` is 1.
+    One :class:`_Contingency` serves every probe.  The fault-on run is
+    stepped once, at construction, as one state, up to the search's cap
+    ``max_duration`` or the horizon ``t_end``, whichever comes first, or
+    to its own end; once it has ended, every later clearing fails.  Each
+    :meth:`run` is one call of :func:`_march_lanes` on the probes'
+    clearing states, at most ``budget`` lanes:
+    ``max(MIN_LANES, LANE_MACHINES // machines)`` under a force_full
+    policy.  Under any other policy the post-fault segments switch model at
+    different steps in different lanes, so ``budget`` is 1.  The last lane
+    steps the plan on alone, through the same call as the fault-on run.
     """
 
     def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
-                 fault_bus: int, dt: float, t_end: float, instability_stop_deg: float):
+                 fault_bus: int, dt: float, t_end: float, max_duration: float,
+                 instability_stop_deg: float):
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
         self.sys, self.dt = sys, dt
-        # the checks a zero-duration probe, the first any search asks for,
-        # would fail before the search picks its durations
-        self.k_end = _scenario_steps(
-            sys, Scenario(fault_bus, 0.0, t_end=t_end, load_level=sys.load_level), dt)[2]
+        self.k_end = _grid_step(t_end, dt, "t_end")
+        # no question of the search clears later than its cap
+        top = min(_grid_step(max_duration, dt, "max_duration"), self.k_end)
+        _ordered(0, top, self.k_end)
         self._run = _Contingency(sys, model_set, policy, fault_bus, instability_stop_deg)
-        self.lanes = policy.mode == "force_full"
-        self.budget = max(MIN_LANES, LANE_MACHINES // sys.n_machines) if self.lanes else 1
-        self._fault = sys.x0[None, :].copy()  # states 0.. of the fault-on run, as far as stepped
-        self._fault_end = None   # first step at which the fault-on run ended, if it did
+        lanes = policy.mode == "force_full"
+        self.budget = max(MIN_LANES, LANE_MACHINES // sys.n_machines) if lanes else 1
+        # the fault-on run is the run cleared at top and ended there
+        self._fault, end = self._step_on(top, 0, sys.x0, top)
+        # the first step at which it ended, if it did; a blow-up ends it at
+        # the step that was not recorded
+        self._fault_end = None if end is None else len(self._fault) - 1 + (end == "blowup")
 
-    def _step_fault_on(self, top: int) -> None:
-        """Steps the fault-on run on to step ``top`` unless it ended: the
-        plan of the run cleared at ``top`` and ended there."""
-        reached = len(self._fault) - 1
-        if self._fault_end is not None or top <= reached:
-            return
-        states = np.empty((top + 1, self.sys.n_states))
-        states[:reached + 1] = self._fault
-        k, end, _ = self._run.step(states, reached, self._run.plan(0, top, top), self.dt, [])
-        self._fault = states[:k + 1]
-        if end:
-            # a blow-up ends the run at the step that was not recorded
-            self._fault_end = k + (end == "blowup")
+    def _step_on(self, k_clear: int, k: int, x, k_end: int):
+        """Steps the plan of the run cleared at ``k_clear`` and ended at
+        ``k_end`` on from its state ``x`` at step ``k``; returns its states
+        up to the last one recorded, and why stepping ended."""
+        states = np.empty((k_end + 1, self.sys.n_states))
+        states[k] = x
+        k, end, _ = self._run.step(states, k, self._run.plan(0, k_clear, k_end), self.dt, [])
+        return states[:k + 1], end
 
     def run(self, steps, report) -> None:
-        """Probes the clearing steps ``steps``.  The first is asked for; the
-        others may be asked later and are not probed past the end of the
-        run.  Verdicts go to ``report({steps: verdict})`` as they are
-        reached, which returns the steps still wanted; the probes of the
-        others stop."""
-        asked = steps[0]
-        _ordered(0, asked, self.k_end)  # refused past the horizon, as a single run is
-        steps = [c for c in steps if c <= self.k_end] if self.lanes else [asked]
-        self._step_fault_on(max(steps))
-        end = self._fault_end
+        """Probes the clearing steps ``steps``, none past the cap and at
+        most ``budget`` of them.  The first is asked for; the others may be
+        asked later and are not probed past the end of the run.  Verdicts
+        go to ``report({steps: verdict})`` as they are reached, which
+        returns the steps still wanted; the probes of the others stop."""
+        _ordered(0, steps[0], self.k_end)  # refused past the horizon, as a single run is
+        k_end, end = self.k_end, self._fault_end
+        steps = [c for c in steps if c <= k_end]
         # a fault-on run that ended fails every later clearing; a clearing
         # at the end has no post-fault step to take
         decided = {c: end is None or c < end
-                   for c in steps if c == self.k_end or (end is not None and c >= end)}
+                   for c in steps if c == k_end or (end is not None and c >= end)}
         live = report(decided)
         probes = [c for c in steps if c in live and c not in decided]
-        if not probes:
-            return
-        if self.lanes:
-            _march_lanes(self._fault[probes][:, None, :], probes, [self.k_end - c for c in probes],
-                         self.dt, self._run.rhs["full"], self._run.stops, report)
-        else:
-            # the run's plan, stepped on from its clearing state
-            states = np.empty((self.k_end + 1, self.sys.n_states))
-            states[asked] = self._fault[asked]
-            end = self._run.step(states, asked, self._run.plan(0, asked, self.k_end), self.dt, [])[1]
-            report({asked: end not in ("blowup", "unstable")})
+        if probes:
+            _march_lanes(self._fault[probes][:, None, :], probes, [k_end - c for c in probes],
+                         self.dt, self._run.rhs["full"], self._run.lane_stop, report,
+                         lambda c, t, x: self._step_on(c, c + t, x, k_end)[1]
+                         not in ("blowup", "unstable"))
 
 
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:

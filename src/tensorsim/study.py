@@ -220,16 +220,18 @@ def cct_search(
     the bracket (stable at cct, unstable one step later) is part of the
     result for post-hoc confirmation.
 
+    ``max_duration`` must lie on the ``dt`` grid, as a clearing time must.
     The procedure (:func:`_bisection`) runs in rounds.  A round probes, in
     one :class:`tensorsim.simulate.ClearingProbes` call, the durations it
     may still ask for, nearest first, up to the probes' budget (lanes
     under force_full, one duration otherwise); a probe stops once no
     remaining outcome can make the procedure ask for it.  The probes of
-    every mode share one fault set-up and one fault-on run.  Each probe's
-    verdict is that of the single run, so the procedure, replayed on the
-    verdicts, returns the sequential answer, ``runs`` included.
+    every mode share one fault set-up and one fault-on run, stepped once
+    up to the cap.  Each probe's verdict is that of the single run, so the
+    procedure, replayed on the verdicts, returns the sequential answer,
+    ``runs`` included.
     """
-    probes = sim.ClearingProbes(sys, model_set, policy, fault_bus, dt, t_end, 180.0)
+    probes = sim.ClearingProbes(sys, model_set, policy, fault_bus, dt, t_end, max_duration, 180.0)
     known = {}
 
     def procedure(stable):

@@ -28,13 +28,12 @@ COMMAND_OPTIONS = {
 }
 # flags every command lost; each is also an unknown config key
 REMOVED_EVERYWHERE = ("--horizon", "--load-swap")
-# flags the handlers never read.  On threshold-search and sweep, argparse
-# reads --mode as an abbreviation of --models, so it is not listed there
+# flags the handlers never read
 REMOVED_FLAGS = {
     "cct": ("--t-on", "--t-clear"),
     "rank-search": ("--levels", "--ranks"),
-    "threshold-search": ("--angle-threshold",),
-    "sweep": ("--t-on", "--t-clear", "--load-level"),
+    "threshold-search": ("--angle-threshold", "--mode"),
+    "sweep": ("--t-on", "--t-clear", "--load-level", "--mode"),
     "compare": ("--mode",),  # ambiguous: --models or --modes
 }
 
@@ -76,6 +75,17 @@ class TestParsing:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and flag in err  # argparse's usage error
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--t-e", "0.5"], ["--t-e=0.5"]],
+                             ids=["prefix", "prefix_equals"])
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys, flag):
+        # a flag matches only its full name: a prefix of a flag would
+        # silently read a removed flag as another one
+        code = run_cli(["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+                        *flag, "--out", tmp_path])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
 
@@ -246,15 +256,6 @@ class TestSimulate:
         assert code == 0
         rep = json.loads((out / "simulate_report.json").read_text())
         assert rep["scenario"]["t_end"] == 0.5  # flag wins over config file
-
-    @pytest.mark.parametrize("flag", [["--t-e", "0.5"], ["--t-e=0.5"]],
-                             ids=["prefix", "prefix_equals"])
-    def test_abbreviated_flag_beats_config(self, tmp_path, flag):
-        # argparse accepts a unique prefix of a flag; it still counts as given
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"t_end": 1.0, "t_clear": 0.2}))
-        args = cli._parse(["simulate", "--system", "wscc9", "--config", str(cfgp), *flag])
-        assert (args.t_end, args.t_clear) == (0.5, 0.2)
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["simulate", "--system", "wscc9", "--fault-bus", "7",

@@ -356,8 +356,9 @@ class TestSettledExit:
 
     def test_lanes_leave_when_settled(self, wscc_spec):
         # a lane at a state its step returns bit for bit leaves as stable
-        # after that step; the last lane goes on alone in _march, as one
-        # state, and ends stable after its own steps
+        # after that step; the last lane is handed on with its step and its
+        # state, goes on alone as one state and ends stable after its own
+        # steps
         sys_l = pm.build_system(wscc_spec, 0.8)  # settles within 10 steps
         evals, reports = [], []
 
@@ -374,8 +375,15 @@ class TestSettledExit:
             reports.append(verdicts)
             return {"moved"}
 
-        sim._march_lanes(x, ["settled", "moved"], [5, 5], 0.01, rhs, (None, None), report)
+        handed = []
+
+        def alone(lane, t, state):
+            handed.append((lane, t))
+            return sim.integrate(rhs, state, (t * 0.01, 0.05), 0.01).completed
+
+        sim._march_lanes(x, ["settled", "moved"], [5, 5], 0.01, rhs, None, report, alone)
         assert reports == [{"settled": True}, {"moved": True}]
+        assert handed == [("moved", 1)]
         assert evals == [(2, 1, 27)] * 4 + [(27,)] * 16
 
     def test_integrate_signed_zero(self, monkeypatch):

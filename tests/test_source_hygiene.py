@@ -3,8 +3,8 @@ every function the benchmark's tracer wraps exists, every flag the
 benchmark passes to a CLI command is an option of that command, every
 optional parameter of the library is set by some caller, every field of
 a library dataclass is read somewhere, only ``taylor`` reaches the
-derivative enumerators, and one call site outside ``power_model`` builds
-a faulted network.
+derivative enumerators, one call site outside ``power_model`` builds a
+faulted network, and two call the RK4 loop of one state.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -120,6 +120,32 @@ def test_one_fault_call_site():
              for node in ast.walk(_parse(name))
              if isinstance(node, ast.Call) and _callee(node) == "apply_fault"]
     assert len(sites) == 1, f"apply_fault called outside power_model at {sites}"
+
+
+def _call_scopes(tree, callee):
+    """The qualified name of the innermost function or class around each
+    call of ``callee``; empty at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == callee:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_two_march_call_sites():
+    # one RK4 loop of one state, reached from two places: a single
+    # right-hand side's run, and each segment of a contingency's plan,
+    # which every CCT probe that leaves the lanes steps on
+    sites = sorted(s for name in MODULES for s in _call_scopes(_parse(name), "_march"))
+    assert sites == ["_Contingency.step", "integrate"], f"_march called from {sites}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -185,6 +185,16 @@ class TestCct:
         assert res == _sequential_cct(ring5_sys, None, pol, bus)
         assert res.capped or bus != 5
 
+    def test_off_grid_or_negative_cap_rejected(self, ring5_sys):
+        # a cap between two steps would be searched as the step it rounds
+        # to, a duration past the cap
+        pol = sim.SwitchPolicy(mode="force_full")
+        with pytest.raises(ValueError, match="max_duration"):
+            study.cct_search(ring5_sys, None, pol, 5, max_duration=0.155)
+        # a negative cap is refused as a clearing before the fault would be
+        with pytest.raises(ValueError, match="t_fault_on <= t_clear"):
+            study.cct_search(ring5_sys, None, pol, 5, max_duration=-0.1)
+
     @pytest.mark.parametrize("cap", [0.1, 0.5, 0.7, 0.8])
     @pytest.mark.parametrize("case", ["wscc9", "ring5"])
     def test_cap_edges_equal_sequential_search(self, wscc_sys, ring5_sys, case, cap):
@@ -217,6 +227,21 @@ class TestCct:
         monkeypatch.setattr(pm, "apply_fault", lambda *a: faults.append(a) or apply_fault(*a))
         assert study.cct_search(wscc_sys, wscc_model_set, pol, bus) == want
         assert [b for _, b in faults] == [bus]
+
+    @pytest.mark.parametrize("mode", ["force_full", "adaptive"])
+    def test_fault_on_run_stepped_once(self, wscc_sys, wscc_model_set, monkeypatch, mode):
+        # the plan of a run that ends as it clears is the fault-on run's
+        ms = None if mode == "force_full" else wscc_model_set
+        fault_on, plan = [], sim._Contingency.plan
+
+        def spy(run, k_on, k_clear, k_end):
+            if k_clear == k_end:
+                fault_on.append(k_end)
+            return plan(run, k_on, k_clear, k_end)
+
+        monkeypatch.setattr(sim._Contingency, "plan", spy)
+        study.cct_search(wscc_sys, ms, sim.SwitchPolicy(mode=mode), 7)
+        assert len(fault_on) == 1
 
     @pytest.mark.parametrize("mode", ["force_full", "adaptive"])
     def test_duration_past_horizon_rejected(self, wscc_sys, wscc_model_set, mode):
