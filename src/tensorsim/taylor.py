@@ -24,11 +24,14 @@ coupling structure, the stencil runs in double precision with the
 Richardson pass at order 2 only, and the entries stay a sparse
 coordinate list.  That path requires every exciter voltage loop to be
 open (ka = 0), since terminal-voltage feedback couples all machine
-triples and destroys the sparsity.  :func:`taylor_terms` is the one place
+triples and destroys the sparsity.  :func:`_order_term` is the one place
 the state count picks between the two enumerators.
 
-:func:`compress_taylor_terms` is the one place terms become a
-:class:`TaylorModel`.  Both sizes share one ALS loop,
+:func:`_compress_order` is the one per-order compressor, and
+:func:`_taylor_model` the one place factors become a
+:class:`TaylorModel`.  A model set is built as one job per (level, order),
+run in worker processes (:func:`_build_models`); :func:`compress_taylor_terms`
+compresses given terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
 kernel: an einsum over a dense tensor's nonzero slices
 (:func:`tensorsim.tensor_ops.cp_decompose`), or, on the coordinate list,
@@ -44,6 +47,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,6 +433,8 @@ class TaylorModel:
         )
         self._r2 = r2
         self._r3 = r3
+        # the row form's right operands, as views made once
+        self._proj_t, self._lead_t, self._a1_t = self._proj.T, self._lead.T, self.a1.T
 
     @property
     def n(self) -> int:
@@ -442,64 +450,65 @@ def reduced_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
     bytes of its call alone.
     """
     r2, r3 = model._r2, model._r3
-    y = dx @ model._proj.T
+    y = dx @ model._proj_t
     g2 = y[..., :r2] * y[..., r2:2 * r2]
     z = y[..., 2 * r2:]
     g3 = z[..., :r3] * z[..., r3:2 * r3] * z[..., 2 * r3:]
-    return dx @ model.a1.T + np.concatenate([g2, g3], axis=-1) @ model._lead.T
+    return dx @ model._a1_t + np.concatenate([g2, g3], axis=-1) @ model._lead_t
 
 
 def linear_rhs(model: TaylorModel, dx: np.ndarray) -> np.ndarray:
     """First-order (Jacobian-only) deviation dynamics, the comparison
     baseline for linear model reduction; row form as in
     :func:`reduced_rhs`."""
-    return dx @ model.a1.T
+    return dx @ model._a1_t
+
+
+def _order_term(sys: pm.SystemModel, order: int):
+    """The order-2 or order-3 derivative term of the pre-fault dynamics
+    around ``sys.x0``: a dense tensor up to :data:`DENSE_STATE_LIMIT`
+    states and a coordinate list above.  This is the one place the state
+    count picks the derivative enumerator."""
+    if sys.n_states <= DENSE_STATE_LIMIT:
+        return taylor_tensors(sys, order)
+    return _structured_coo(sys, order)
 
 
 def taylor_terms(sys: pm.SystemModel):
     """The terms ``(a1, t2, t3)`` of the pre-fault dynamics around
     ``sys.x0``: the Jacobian, then the order-2 and order-3 derivative terms
-    as dense tensors up to :data:`DENSE_STATE_LIMIT` states and as
-    coordinate lists above.  This is the one place the state count picks
-    the derivative enumerator."""
-    if sys.n_states <= DENSE_STATE_LIMIT:
-        return jacobian(sys), taylor_tensors(sys, 2), taylor_tensors(sys, 3)
-    return jacobian(sys), _structured_coo(sys, 2), _structured_coo(sys, 3)
+    of :func:`_order_term`."""
+    return jacobian(sys), _order_term(sys, 2), _order_term(sys, 3)
 
 
-def build_taylor_model(sys: pm.SystemModel, ranks, *, seed: int = 0,
-                       cp_options: dict | None = None) -> TaylorModel:
-    """The per-level Taylor model: :func:`taylor_terms` compressed by
-    :func:`compress_taylor_terms`.  ``ranks="full"`` is refused above
-    :data:`DENSE_STATE_LIMIT` states, before any term is built."""
-    if ranks == "full" and sys.n_states > DENSE_STATE_LIMIT:
-        raise ModelBuildError(
-            f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
-        )
-    return compress_taylor_terms(sys, taylor_terms(sys), ranks, seed=seed, cp_options=cp_options)
-
-
-def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
-                          cp_options: dict | None = None) -> TaylorModel:
-    """The :class:`TaylorModel` of ``sys`` from its terms ``(a1, t2, t3)``.
-
-    ``t2``/``t3`` are dense :class:`Tensor` objects or ``(coords, values)``
-    pairs.  ``ranks`` is ``(r2, r3)`` for ALS compression seeded with
-    ``seed`` and ``seed + 1``, or ``"full"`` for the exact constructive
-    factors of dense terms.  ``cp_options`` reach the ALS kernel of either
-    format unchanged, so an unknown option raises ``TypeError``.
-    """
-    a1, t2, t3 = terms
-    opts = dict(cp_options or {})
+def _check_ranks(sys: pm.SystemModel, ranks) -> None:
+    """Refuse ranks below 1, and ``"full"`` above :data:`DENSE_STATE_LIMIT`
+    states, before any term is built."""
     if ranks == "full":
-        f2, f3 = cp_exact(t2), cp_exact(t3)
-    elif isinstance(t2, Tensor):
-        f2 = cp_decompose(t2, int(ranks[0]), seed=seed, **opts)
-        f3 = cp_decompose(t3, int(ranks[1]), seed=seed + 1, **opts)
-    else:
-        n = sys.n_states
-        f2 = _cp_als_coo((n,) * 3, *t2, int(ranks[0]), seed=seed, **opts)
-        f3 = _cp_als_coo((n,) * 4, *t3, int(ranks[1]), seed=seed + 1, **opts)
+        if sys.n_states > DENSE_STATE_LIMIT:
+            raise ModelBuildError(
+                f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
+            )
+    elif min(int(r) for r in ranks) < 1:
+        raise ValueError(f"ranks must be >= 1, got {tuple(ranks)}")
+
+
+def _compress_order(n: int, order: int, term, ranks, *, seed: int,
+                    cp_options: dict | None) -> CpFactors:
+    """CP factors of one order's term: the exact constructive factors of
+    a dense term for ``ranks="full"``, else ALS at that order's rank of
+    ``ranks = (r2, r3)``, seeded with ``seed`` at order 2 and ``seed + 1``
+    at order 3.  ``cp_options`` reach the ALS kernel of either format
+    unchanged, so an unknown option raises ``TypeError``."""
+    if ranks == "full":
+        return cp_exact(term)
+    rank, opts = int(ranks[order - 2]), dict(cp_options or {})
+    if isinstance(term, Tensor):
+        return cp_decompose(term, rank, seed=seed + order - 2, **opts)
+    return _cp_als_coo((n,) * (order + 1), *term, rank, seed=seed + order - 2, **opts)
+
+
+def _taylor_model(sys: pm.SystemModel, a1, f2: CpFactors, f3: CpFactors) -> TaylorModel:
     return TaylorModel(
         load_level=sys.load_level,
         x0=sys.x0.copy(),
@@ -509,6 +518,107 @@ def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
         ranks=(f2.rank, f3.rank),
         fits=(f2.fit, f3.fit),
     )
+
+
+def compress_taylor_terms(sys: pm.SystemModel, terms, ranks, *, seed: int = 0,
+                          cp_options: dict | None = None) -> TaylorModel:
+    """The :class:`TaylorModel` of ``sys`` from its terms ``(a1, t2, t3)``,
+    in process.
+
+    ``t2``/``t3`` are dense :class:`Tensor` objects or ``(coords, values)``
+    pairs, compressed as :func:`_compress_order` does: ALS seeded with
+    ``seed`` and ``seed + 1`` for ``ranks = (r2, r3)``, or ``"full"`` for
+    the exact constructive factors of dense terms.
+    """
+    a1, t2, t3 = terms
+    n = sys.n_states
+    f2 = _compress_order(n, 2, t2, ranks, seed=seed, cp_options=cp_options)
+    f3 = _compress_order(n, 3, t3, ranks, seed=seed, cp_options=cp_options)
+    return _taylor_model(sys, a1, f2, f3)
+
+
+# ---------------------------------------------------------------------------
+# the (level, order) job runner
+
+# failures that abort one level's model and are reported per level
+_BUILD_ERRORS = (ModelBuildError, NumericalError)
+
+
+def _attempt(fn, *args):
+    """``(fn(*args), None)``, or ``(None, exc)`` for a build failure."""
+    try:
+        return fn(*args), None
+    except _BUILD_ERRORS as exc:
+        return None, exc
+
+
+def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
+    """One (level, order) job: build the order's term and compress it."""
+    return _compress_order(sys.n_states, order, _order_term(sys, order), ranks,
+                           seed=seed, cp_options=cp_options)
+
+
+def _worker_count(jobs: int) -> int:
+    """``min(jobs, CPUs this process may use)`` for a process that runs one
+    thread, else 1.  A second thread is most often a BLAS pool, which each
+    forked worker would inherit: on 2 cores, two workers with two BLAS
+    threads each built the acceptance set 5.5 times slower than one
+    process.  Where the thread count cannot be read, one is assumed."""
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:
+        pass
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, cpus or 1))
+
+
+def _build_models(systems: dict, ranks, seed: int, cp_options) -> dict:
+    """The :class:`TaylorModel` of each system in ``systems`` (by level),
+    or the build failure of its lowest failing order (the Jacobian is
+    order 1).
+
+    Each (level, order) job builds that order's term and compresses it.
+    The jobs run in :func:`_worker_count` worker processes, order 3 first
+    since those take longest, while this process computes the Jacobians;
+    one worker means no pool.  Workers are forked where the platform can
+    fork: a pool exists only in a process that runs one thread, where
+    forking is safe, and a spawned pool took about 0.4 s to start against
+    15-24 ms forked.  Every job is deterministic and owns its seed, so the
+    models have the bytes of an in-process build."""
+    jobs = [(lv, order) for order in (3, 2) for lv in systems]
+    args = [(systems[lv], order, ranks, seed, cp_options) for lv, order in jobs]
+    workers = _worker_count(len(jobs))
+    if workers == 1:
+        a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
+        done = [_attempt(_order_job, *a) for a in args]
+    else:
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(_attempt, _order_job, *a) for a in args]
+            a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
+            done = [f.result() for f in futures]
+    factors = dict(zip(jobs, done))
+    out = {}
+    for lv, sys_l in systems.items():
+        parts = [a1[lv], factors[lv, 2], factors[lv, 3]]
+        errors = [exc for _, exc in parts if exc is not None]
+        out[lv] = errors[0] if errors else _taylor_model(sys_l, *(v for v, _ in parts))
+    return out
+
+
+def build_taylor_model(sys: pm.SystemModel, ranks) -> TaylorModel:
+    """The per-level Taylor model, with ALS seeded at 0 on the kernel's
+    defaults: the one-level case of the job runner behind
+    :func:`build_model_set`.  Ranks below 1, and ``ranks="full"`` above
+    :data:`DENSE_STATE_LIMIT` states, are refused before any term is
+    built."""
+    _check_ranks(sys, ranks)
+    model = _build_models({sys.load_level: sys}, ranks, 0, None)[sys.load_level]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +674,13 @@ class ModelSet:
 
 
 def solve_levels(sys: pm.SystemModel, levels) -> dict:
-    """The system re-solved at each load level, by level.  Any level whose
-    power flow or equilibrium fails aborts with a combined diagnostic that
-    names every failing level."""
+    """The system re-solved at each load level, by level.  Repeated levels
+    are refused before any is solved.  Any level whose power flow or
+    equilibrium fails aborts with a combined diagnostic that names every
+    failing level."""
+    repeated = sorted({lv for lv in levels if list(levels).count(lv) > 1})
+    if repeated:
+        raise ValueError(f"load levels must be distinct, got {list(levels)} (repeated: {repeated})")
     systems, failures = {}, []
     for lv in levels:
         try:
@@ -587,16 +701,13 @@ def build_model_set(
     cp_options: dict | None = None,
 ) -> ModelSet:
     """One Taylor model per representative load level, each built around
-    that level's own re-solved equilibrium.  Every level is solved first
-    (:func:`solve_levels`); any per-level failure aborts the set build with
-    a combined diagnostic."""
-    models = {}
-    failures = []
-    for lv, sys_l in solve_levels(sys, levels).items():
-        try:
-            models[lv] = build_taylor_model(sys_l, ranks, seed=seed, cp_options=cp_options)
-        except (ModelBuildError, NumericalError) as exc:
-            failures.append(f"level {lv}: {exc}")
+    that level's own re-solved equilibrium.  Bad ranks and repeated levels
+    are refused first, then every level is solved (:func:`solve_levels`),
+    then the (level, order) jobs of :func:`_build_models` run.  Any
+    per-level failure aborts the set build with a combined diagnostic."""
+    _check_ranks(sys, ranks)
+    models = _build_models(solve_levels(sys, levels), ranks, seed, cp_options)
+    failures = [f"level {lv}: {m}" for lv, m in models.items() if isinstance(m, Exception)]
     if failures:
         raise ModelBuildError("model set build aborted: " + "; ".join(failures))
     meta = {

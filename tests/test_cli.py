@@ -352,6 +352,27 @@ class TestBuildAndConsumers:
         assert err["error"] == "ModelBuildError"
         assert "level 0.8:" in err["message"] and "level 1.2:" in err["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["build", "--levels", "1.0,1.0", "--ranks", "2,2"], "load levels must be distinct"),
+        (["build", "--ranks", "0,2"], "ranks must be >= 1"),
+        (["build", "--ranks", "auto", "--levels", "1.0,1.0", "--t-clear", "0.1"],
+         "load levels must be distinct"),
+        (["simulate", "--fault-bus", "7", "--t-clear", "0.1", "--ranks", "2,0"],
+         "ranks must be >= 1"),
+    ], ids=["repeated_levels", "rank_zero", "auto_repeated_levels", "simulate_rank_zero"])
+    def test_bad_levels_or_ranks_exit_two_before_any_term(self, tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a derivative term or a rank search ran")
+
+        monkeypatch.setattr(taylor, "_build_models", no_work)
+        monkeypatch.setattr(study, "rank_search", no_work)
+        code = run_cli([*argv, "--system", "wscc9", "--out", tmp_path])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not any(tmp_path.iterdir())
+
     def test_cct_command(self, tmp_path):
         out = tmp_path / "c"
         code = run_cli(

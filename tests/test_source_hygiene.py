@@ -4,7 +4,8 @@ benchmark passes to a CLI command is an option of that command, every
 optional parameter of the library is set by some caller, every field of
 a library dataclass is read somewhere, only ``taylor`` reaches the
 derivative enumerators, one call site outside ``power_model`` builds a
-faulted network, and two call the RK4 loop of one state.
+faulted network, two call the RK4 loop of one state, and one creates a
+process pool.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -146,6 +147,16 @@ def test_two_march_call_sites():
     # which every CCT probe that leaves the lanes steps on
     sites = sorted(s for name in MODULES for s in _call_scopes(_parse(name), "_march"))
     assert sites == ["_Contingency.step", "integrate"], f"_march called from {sites}"
+
+
+def test_one_process_pool_site():
+    # the (level, order) jobs of a model set build are the one work that
+    # runs in worker processes, so one place owns the pool, its start
+    # method and its worker count
+    sites = sorted(f"{name}.{s}" for name in MODULES
+                   for callee in ("ProcessPoolExecutor", "Pool", "Process", "fork")
+                   for s in _call_scopes(_parse(name), callee))
+    assert sites == ["taylor._build_models"], f"process pools created at {sites}"
 
 
 @pytest.mark.parametrize("name", MODULES)

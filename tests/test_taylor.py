@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -534,3 +539,140 @@ class TestCooKernel:
             ref = _reference_mttkrp(dims, coords, values, factors, k)
             assert np.max(np.abs(mttkrp(factors, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(stale - mttkrp(factors, 2))) > 1e-3
+
+
+def _model_arrays(model):
+    return [model.x0, model.a1] + [a for f in (model.a2, model.a3)
+                                   for a in (f.weights, *f.factors, f.fit_history)]
+
+
+def _same_bytes(a, b):
+    return (a.dtype, a.shape, a.flags.f_contiguous, a.tobytes()) == (
+        b.dtype, b.shape, b.flags.f_contiguous, b.tobytes())
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Forces the job runner's worker count: 1 runs the jobs in process,
+    2 runs them in a pool whatever the host offers."""
+    monkeypatch.setattr(taylor, "_worker_count", lambda jobs: min(jobs, request.param))
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def ring7_sys():
+    return pm.build_system(cases.synthetic_ring_spec(7, seed=7), 1.0)
+
+
+class TestJobRunner:
+    # dense path at three levels, structured path (63 states) at one
+    CASES = {"wscc9": ("wscc_sys", (0.8, 1.0, 1.2), (5, 4)),
+             "ring7": ("ring7_sys", (1.0,), (4, 3))}
+    OPTS = dict(max_iters=15, restarts=2)
+
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_in_process_oracle(self, request, workers, case):
+        fixture, levels, ranks = self.CASES[case]
+        sys = request.getfixturevalue(fixture)
+        ms = taylor.build_model_set(sys, levels=levels, ranks=ranks, seed=4,
+                                    cp_options=self.OPTS)
+        assert multiprocessing.active_children() == []
+        oracle = {lv: taylor.compress_taylor_terms(s, taylor.taylor_terms(s), ranks, seed=4,
+                                                   cp_options=self.OPTS)
+                  for lv, s in taylor.solve_levels(sys, levels).items()}
+        assert ms.levels == levels and list(ms.models) == list(levels)
+        for lv in levels:
+            got, want = _model_arrays(ms.models[lv]), _model_arrays(oracle[lv])
+            assert len(got) == len(want)
+            assert all(_same_bytes(a, b) for a, b in zip(got, want)), lv
+            assert ms.models[lv].ranks == oracle[lv].ranks
+            assert ms.models[lv].fits == oracle[lv].fits
+        assert ms.meta == {
+            "levels": list(levels), "ranks": list(ranks), "seed": 4,
+            "fits": {str(lv): list(oracle[lv].fits) for lv in levels},
+            "converged": {str(lv): [bool(oracle[lv].a2.converged), bool(oracle[lv].a3.converged)]
+                          for lv in levels},
+            "iterations": {str(lv): [len(oracle[lv].a2.fit_history),
+                                     len(oracle[lv].a3.fit_history)] for lv in levels},
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    @pytest.mark.parametrize("exc", [taylor.NumericalError, taylor.ModelBuildError])
+    @pytest.mark.parametrize("failing, reported", [((2, 3), 2), ((3,), 3)])
+    def test_job_failure_keeps_the_level_diagnostic(self, monkeypatch, wscc_sys, workers,
+                                                    exc, failing, reported):
+        # each failing level reports its lowest failing order's message, in
+        # level order, whether the job ran in a worker or in process
+        real = taylor._order_term
+
+        def order_term(sys, order):
+            if sys.load_level != 1.0 and order in failing:
+                raise exc(f"order-{order} term failed")
+            return real(sys, order)
+
+        monkeypatch.setattr(taylor, "_order_term", order_term)
+        with pytest.raises(taylor.ModelBuildError) as info:
+            taylor.build_model_set(wscc_sys, levels=(0.8, 1.0, 1.2), ranks=(2, 2),
+                                   cp_options=dict(max_iters=2))
+        assert str(info.value) == (f"model set build aborted: level 0.8: order-{reported} term "
+                                   f"failed; level 1.2: order-{reported} term failed")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_other_job_errors_propagate(self, wscc_sys, workers):
+        with pytest.raises(TypeError, match="max_iter"):
+            taylor.build_model_set(wscc_sys, levels=(1.0, 1.2), ranks=(2, 2),
+                                   cp_options={"max_iter": 5})
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_one_level_model_is_the_oracle(self, ring5_sys, workers):
+        model = taylor.build_taylor_model(ring5_sys, (3, 2))
+        oracle = taylor.compress_taylor_terms(ring5_sys, taylor.taylor_terms(ring5_sys), (3, 2))
+        assert all(_same_bytes(a, b) for a, b in zip(_model_arrays(model), _model_arrays(oracle)))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_one_beside_another_thread(self):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert taylor._worker_count(6) == 1
+        finally:
+            stop.set()
+            other.join()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_worker_count_of_a_one_thread_process(self):
+        code = ("import os; from tensorsim import taylor; "
+                "print(taylor._worker_count(6), taylor._worker_count(1), "
+                "len(os.sched_getaffinity(0)))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        many, one, cpus = (int(v) for v in out)
+        assert (many, one) == (min(6, cpus), 1)
+
+
+class TestRefusedBeforeWork:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(pm, "build_system", boom)
+        monkeypatch.setattr(taylor, "_order_term", boom)
+        monkeypatch.setattr(taylor, "jacobian", boom)
+
+    def test_repeated_levels(self, wscc_sys):
+        with pytest.raises(ValueError, match=r"distinct.*repeated: \[1.0\]"):
+            taylor.build_model_set(wscc_sys, levels=(1.0, 0.8, 1.0), ranks=(2, 2))
+
+    @pytest.mark.parametrize("ranks", [(0, 2), (2, 0), (-1, 3)])
+    def test_ranks_below_one(self, wscc_sys, ranks):
+        for build in (lambda: taylor.build_model_set(wscc_sys, levels=(1.0,), ranks=ranks),
+                      lambda: taylor.build_taylor_model(wscc_sys, ranks)):
+            with pytest.raises(ValueError, match="ranks must be >= 1"):
+                build()

@@ -12,8 +12,10 @@ machine:
 * ten alternating pairs (the parent runs first in even pairs, the change
   in odd ones); in each, a side runs
   ``perfbench/run.py --workload all --seed 1 --seconds 22``, then
-  - the CLI commands ``cct`` (force_full and adaptive, bus 7) and
-    ``sweep`` (bus 7) on ``wscc9``, each a new process;
+  - the CLI commands ``build`` (``wscc9`` at the default levels and
+    ranks, and ``ring:33`` at level 1.0 and ranks (16, 12)), ``cct``
+    (force_full and adaptive, bus 7) and ``sweep`` (bus 7) on ``wscc9``,
+    each a new process;
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
     force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
     model set;
@@ -48,6 +50,8 @@ PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 CLI_RUNS = {
+    "cli.build.wscc9_s": ["build", "--system", "wscc9"],
+    "cli.build.ring33_s": ["build", "--system", "ring:33", "--levels", "1.0", "--ranks", "16,12"],
     "cli.cct.force_full_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "force_full"],
     "cli.cct.adaptive_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "adaptive"],
     "cli.sweep_s": ["sweep", "--system", "wscc9", "--fault-bus", "7"],
