@@ -583,8 +583,8 @@ def _build_models(systems: dict, ranks, seed: int, cp_options) -> dict:
     since those take longest, while this process computes the Jacobians;
     one worker means no pool.  Workers are forked where the platform can
     fork: a pool exists only in a process that runs one thread, where
-    forking is safe, and a spawned pool took about 0.4 s to start against
-    15-24 ms forked.  Every job is deterministic and owns its seed, so the
+    forking is safe, and on 2 cores a spawned pool of two took 0.32-0.35 s
+    to start against 13-19 ms forked.  Every job is deterministic and owns its seed, so the
     models have the bytes of an in-process build."""
     jobs = [(lv, order) for order in (3, 2) for lv in systems]
     args = [(systems[lv], order, ranks, seed, cp_options) for lv, order in jobs]
