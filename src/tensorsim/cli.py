@@ -322,6 +322,9 @@ def _cmd_build(args, outdir, cfg_hash):
         **extras,
     )
     st.write_json(outdir / "build_report.json", report)
+    # measured wall times, outside the byte-identity guarantee
+    st.write_json(outdir / f"metrics_{cfg_hash}.json",
+                  dict(_meta(cfg_hash, args.seed), command="build", jobs=ms.timings))
     return EXIT_OK
 
 

@@ -30,8 +30,10 @@ the state count picks between the two enumerators.
 :func:`_compress_order` is the one per-order compressor, and
 :func:`_taylor_model` the one place factors become a
 :class:`TaylorModel`.  A model set is built as one job per (level, order),
-run in worker processes (:func:`_build_models`); :func:`compress_taylor_terms`
-compresses given terms in process.  Both sizes share one ALS loop,
+run in worker processes (:func:`_build_models`), and inside a job the
+stencil chunks and the sparse ALS rank blocks run on threads
+(:func:`_thread_map`); :func:`compress_taylor_terms` compresses given
+terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
 kernel: an einsum over a dense tensor's nonzero slices
 (:func:`tensorsim.tensor_ops.cp_decompose`), or, on the coordinate list,
@@ -48,8 +50,11 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +106,50 @@ class ModelBuildError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# CPUs and threads
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on ``min(CPUs, len(items))``
+    threads, serially for one; the one place that creates a thread pool.
+
+    The pool's threads have left the process when it returns, since
+    :func:`_worker_count` counts the threads in ``/proc/self/task``.
+    Joining a thread ends only its Python side: on a 2-core host, right
+    after 375 of 5000 two-thread pools were joined, the kernel still
+    listed one of their threads, so this waits until each one's task
+    entry is gone.
+    """
+    items = list(items)
+    threads = min(_cpu_count(), len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    tids = set()
+    with ThreadPoolExecutor(threads, initializer=lambda: tids.add(threading.get_native_id())) as pool:
+        out = list(pool.map(fn, items))
+    while any(os.path.exists(f"/proc/self/task/{tid}") for tid in tids):
+        time.sleep(1e-4)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite differences
+
+
+# Tuples per stencil batch.  The batch size is part of the values' bytes:
+# ``_rhs`` multiplies a whole batch by the admittance matrix at once, and
+# BLAS may pick its kernel by the row count.  With OpenBLAS on a 2-core
+# x86-64 host, 256- and 512-tuple batches gave ``ring:33`` order-2 and
+# order-3 values that differ from 4096-tuple ones (by up to 3e-8), while
+# 1024-tuple ones equal them at both orders.
+_STENCIL_CHUNK = 1024
 
 
 def _multiset_values(f_batch, x0, h, tuples, order):
@@ -111,6 +159,12 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     d^order f_i / dx_{t}`` from the tensor-product central stencil.
     Probes inherit the dtype of ``x0``, so passing extended-precision
     points runs the whole stencil in extended precision.
+
+    The tuples go through ``f_batch`` in chunks of :data:`_STENCIL_CHUNK`,
+    spread over :func:`_thread_map`'s threads; each chunk is one
+    independent batch that writes its own rows, so the thread count
+    leaves the values' bytes alone, but the chunk size does not (see
+    :data:`_STENCIL_CHUNK`).
     """
     x0 = np.asarray(x0)
     n = x0.size
@@ -119,9 +173,9 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     fact = float(np.prod(range(1, order + 1)))
     out = np.zeros((len(tuples), n), dtype=x0.dtype)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=order)))
-    chunk = 4096
-    for lo in range(0, len(tuples), chunk):
-        tt = tuples[lo:lo + chunk]
+
+    def chunk_values(lo):
+        tt = tuples[lo:lo + _STENCIL_CHUNK]
         hh = h[tt]  # (T, order)
         probe = np.arange(len(tt))
         acc = np.zeros((len(tt), n), dtype=x0.dtype)
@@ -132,7 +186,9 @@ def _multiset_values(f_batch, x0, h, tuples, order):
                 disp[probe, tt[:, pos]] += s[pos] * hh[:, pos]
             acc += np.prod(s) * f_batch(x0 + disp)
         denom = (2.0 ** order) * np.prod(hh, axis=1) * fact
-        out[lo:lo + chunk] = acc / denom[:, None]
+        out[lo:lo + _STENCIL_CHUNK] = acc / denom[:, None]
+
+    _thread_map(chunk_values, range(0, len(tuples), _STENCIL_CHUNK))
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite entries in order-{order} derivatives")
     return out
@@ -316,6 +372,13 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
     identity of ``factors[0]``, and multiply it by the other trailing
     factors at the tuple level only.  The sort plans are built here, once;
     the work arrays are rank-major, ``(rank, count)``.
+
+    The rank splits into at most one column block per CPU
+    (:func:`_cpu_count`), run on :func:`_thread_map`'s threads.  Every
+    step above acts on one rank row at a time: the gathers, the
+    elementwise products and the segment sums along the nonzero axis.  So
+    each block's columns have the bytes of the unsplit kernel.  The blocks
+    share the sort plans, and each keeps its own ``W``.
     """
     d = len(dims)
     rows = coords[:, 0]
@@ -335,29 +398,40 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
         ck = tuples[k - 1][order_k]
         starts = _segment_starts(ck)
         trailing.append((order_k, [t[order_k] for t in tuples], starts, ck[starts]))
-    w_cache = [None, None]  # (factors[0], W): cp_als assigns a new array per update
+    # column block -> (factors[0], W): cp_als assigns a new array per update
+    w_cache = {}
 
-    def mttkrp(factors, k):
-        ft = [np.ascontiguousarray(f.T) for f in factors]
+    def block_sums(ft, factors, k, block):
+        """The mode-``k`` MTTKRP of the rank rows ``block``, rank-major, at
+        the rows that hold a nonzero."""
+        ft = [f[slice(*block)] for f in ft]
         if k == 0:
             kr = np.take(ft[1], tuples[0], axis=1)
             for j in range(2, d):
                 kr *= np.take(ft[j], tuples[j - 1], axis=1)
             p = np.take(kr, row_tuple, axis=1)
             p *= row_vals
-            starts, urows = row_starts, row_ids
+            starts = row_starts
         else:
-            if w_cache[0] is not factors[0]:
+            if block not in w_cache or w_cache[block][0] is not factors[0]:
                 w = np.take(ft[0], tuple_rows, axis=1)
                 w *= tuple_vals
-                w_cache[:] = factors[0], np.add.reduceat(w, tuple_starts, axis=1)
-            order_k, cols, starts, urows = trailing[k]
-            p = np.take(w_cache[1], order_k, axis=1)
+                w_cache[block] = factors[0], np.add.reduceat(w, tuple_starts, axis=1)
+            order_k, cols, starts, _ = trailing[k]
+            p = np.take(w_cache[block][1], order_k, axis=1)
             for j in range(1, d):
                 if j != k:
                     p *= np.take(ft[j], cols[j - 1], axis=1)
-        m = np.zeros((dims[k], p.shape[0]))
-        m[urows] = np.add.reduceat(p, starts, axis=1).T
+        return np.add.reduceat(p, starts, axis=1)
+
+    def mttkrp(factors, k):
+        ft = [np.ascontiguousarray(f.T) for f in factors]
+        rank = ft[0].shape[0]
+        count = min(_cpu_count(), rank)
+        blocks = [(rank * b // count, rank * (b + 1) // count) for b in range(count)]
+        sums = _thread_map(lambda block: block_sums(ft, factors, k, block), blocks)
+        m = np.zeros((dims[k], rank))
+        m[row_ids if k == 0 else trailing[k][3]] = np.concatenate(sums).T
         return m
 
     return mttkrp
@@ -482,14 +556,19 @@ def taylor_terms(sys: pm.SystemModel):
 
 
 def _check_ranks(sys: pm.SystemModel, ranks) -> None:
-    """Refuse ranks below 1, and ``"full"`` above :data:`DENSE_STATE_LIMIT`
-    states, before any term is built."""
-    if ranks == "full":
+    """Refuse anything but ``"full"`` or two integer ranks ``(r2, r3)``,
+    ranks below 1, and ``"full"`` above :data:`DENSE_STATE_LIMIT` states,
+    before any term is built."""
+    if isinstance(ranks, str) and ranks == "full":
         if sys.n_states > DENSE_STATE_LIMIT:
             raise ModelBuildError(
                 f"exact full-rank factors need dense tensors (n <= {DENSE_STATE_LIMIT})"
             )
-    elif min(int(r) for r in ranks) < 1:
+        return
+    if not (isinstance(ranks, (tuple, list)) and len(ranks) == 2 and all(
+            isinstance(r, numbers.Integral) and not isinstance(r, bool) for r in ranks)):
+        raise ValueError(f'ranks must be "full" or two integers (r2, r3), got {ranks!r}')
+    if min(ranks) < 1:
         raise ValueError(f"ranks must be >= 1, got {tuple(ranks)}")
 
 
@@ -553,9 +632,17 @@ def _attempt(fn, *args):
 
 
 def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
-    """One (level, order) job: build the order's term and compress it."""
-    return _compress_order(sys.n_states, order, _order_term(sys, order), ranks,
-                           seed=seed, cp_options=cp_options)
+    """One (level, order) job: build the order's term and compress it.
+    Returns the factors and the job's timings: the seconds of the stencil
+    (the term) and of the ALS, the ALS iterations, and the most threads
+    its stencil chunks and sparse ALS rank blocks may run on."""
+    start = time.perf_counter()
+    term = _order_term(sys, order)
+    built = time.perf_counter()
+    f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
+    return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
+               "als_iterations": len(f.fit_history),
+               "threads": _cpu_count()}
 
 
 def _worker_count(jobs: int) -> int:
@@ -569,16 +656,18 @@ def _worker_count(jobs: int) -> int:
             return 1
     except OSError:
         pass
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(jobs, cpus or 1))
+    return max(1, min(jobs, _cpu_count()))
 
 
-def _build_models(systems: dict, ranks, seed: int, cp_options) -> dict:
+def _build_models(systems: dict, ranks, seed: int, cp_options):
     """The :class:`TaylorModel` of each system in ``systems`` (by level),
     or the build failure of its lowest failing order (the Jacobian is
-    order 1).
+    order 1); and, by level, the timings of each order's job
+    (:func:`_order_job`) for the levels that built.
 
-    Each (level, order) job builds that order's term and compresses it.
+    Each (level, order) job builds that order's term and compresses it;
+    its stencil chunks and sparse ALS rank blocks run on threads
+    (:func:`_thread_map`).
     The jobs run in :func:`_worker_count` worker processes, order 3 first
     since those take longest, while this process computes the Jacobians;
     one worker means no pool.  Workers are forked where the platform can
@@ -599,13 +688,18 @@ def _build_models(systems: dict, ranks, seed: int, cp_options) -> dict:
             futures = [pool.submit(_attempt, _order_job, *a) for a in args]
             a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
             done = [f.result() for f in futures]
-    factors = dict(zip(jobs, done))
-    out = {}
+    results = dict(zip(jobs, done))
+    out, timings = {}, {}
     for lv, sys_l in systems.items():
-        parts = [a1[lv], factors[lv, 2], factors[lv, 3]]
+        parts = [a1[lv], results[lv, 2], results[lv, 3]]
         errors = [exc for _, exc in parts if exc is not None]
-        out[lv] = errors[0] if errors else _taylor_model(sys_l, *(v for v, _ in parts))
-    return out
+        if errors:
+            out[lv] = errors[0]
+            continue
+        (j, _), ((f2, t2), _), ((f3, t3), _) = parts
+        out[lv] = _taylor_model(sys_l, j, f2, f3)
+        timings[lv] = {"order2": t2, "order3": t3}
+    return out, timings
 
 
 def build_taylor_model(sys: pm.SystemModel, ranks) -> TaylorModel:
@@ -615,7 +709,7 @@ def build_taylor_model(sys: pm.SystemModel, ranks) -> TaylorModel:
     :data:`DENSE_STATE_LIMIT` states, are refused before any term is
     built."""
     _check_ranks(sys, ranks)
-    model = _build_models({sys.load_level: sys}, ranks, 0, None)[sys.load_level]
+    model = _build_models({sys.load_level: sys}, ranks, 0, None)[0][sys.load_level]
     if isinstance(model, Exception):
         raise model
     return model
@@ -656,9 +750,14 @@ def hybrid_rhs(model: TaylorModel, rows: np.ndarray, x: np.ndarray,
 
 @dataclass
 class ModelSet:
+    """Taylor models by representative load level.  ``meta`` is persisted;
+    ``timings``, by level and order, holds the measured timings of a
+    fresh build's jobs (:func:`_order_job`) and is not."""
+
     levels: tuple
     models: dict
     meta: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     def model_for(self, level: float) -> TaylorModel:
         """The model of the representative level nearest ``level``: the one
@@ -706,7 +805,7 @@ def build_model_set(
     then the (level, order) jobs of :func:`_build_models` run.  Any
     per-level failure aborts the set build with a combined diagnostic."""
     _check_ranks(sys, ranks)
-    models = _build_models(solve_levels(sys, levels), ranks, seed, cp_options)
+    models, timings = _build_models(solve_levels(sys, levels), ranks, seed, cp_options)
     failures = [f"level {lv}: {m}" for lv, m in models.items() if isinstance(m, Exception)]
     if failures:
         raise ModelBuildError("model set build aborted: " + "; ".join(failures))
@@ -724,7 +823,8 @@ def build_model_set(
             for lv in levels
         },
     }
-    return ModelSet(levels=tuple(levels), models=models, meta=meta)
+    return ModelSet(levels=tuple(levels), models=models, meta=meta,
+                    timings={str(lv): timings[lv] for lv in levels})
 
 
 def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:

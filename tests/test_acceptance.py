@@ -268,6 +268,11 @@ def test_criterion_9_speed_direction():
     )
 
 
+# files of measured wall times, which README leaves outside the
+# byte-identity guarantee
+MEASUREMENTS = ("compare_times_", "metrics_")
+
+
 def test_criterion_10_determinism(tmp_path):
     sim_args = ["simulate", "--system", "wscc9", "--fault-bus", "7",
                 "--t-clear", "0.1", "--t-end", "2.0", "--levels", "1.0",
@@ -281,8 +286,13 @@ def test_criterion_10_determinism(tmp_path):
             out = tmp_path / f"{tag}_{run}"
             assert cli.main([str(a) for a in args + ["--out", out]]) == 0
             outs.append(out)
+        assert sorted(f.name for f in outs[0].iterdir()) == \
+            sorted(f.name for f in outs[1].iterdir())
         for f in sorted(outs[0].iterdir()):
+            if f.name.startswith(MEASUREMENTS):
+                continue
             same = f.read_bytes() == (outs[1] / f.name).read_bytes()
             pairs.append((f.name, same))
+    assert {name for name, _ in pairs} >= {"models.npz", "build_report.json", "trajectory.csv"}
     ok = all(same for _, same in pairs)
     report(10, ok, "byte-identical payloads: " + ", ".join(f"{n}={s}" for n, s in pairs))

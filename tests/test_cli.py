@@ -285,6 +285,14 @@ class TestBuildAndConsumers:
             assert len(converged) == len(iters) == 2
             assert all(isinstance(c, bool) for c in converged)
             assert all(isinstance(i, int) and 1 <= i <= cap for i in iters)
+        # measured timings of each (level, order) job, in a file of their own
+        metrics = json.loads(next(out.glob("metrics_*.json")).read_text())
+        assert metrics["config_hash"] == report["config_hash"]
+        jobs = metrics["jobs"]["1.0"]
+        assert [jobs[f"order{o}"]["als_iterations"] for o in (2, 3)] == report["iterations"]["1.0"]
+        for job in jobs.values():
+            assert set(job) == {"stencil_s", "als_s", "als_iterations", "threads"}
+            assert job["threads"] == taylor._cpu_count()
         run = tmp_path / "r"
         code = run_cli(
             ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -4,8 +4,8 @@ benchmark passes to a CLI command is an option of that command, every
 optional parameter of the library is set by some caller, every field of
 a library dataclass is read somewhere, only ``taylor`` reaches the
 derivative enumerators, one call site outside ``power_model`` builds a
-faulted network, two call the RK4 loop of one state, and one creates a
-process pool.
+faulted network, two call the RK4 loop of one state, one creates a
+process pool and one a thread pool.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -157,6 +157,16 @@ def test_one_process_pool_site():
                    for callee in ("ProcessPoolExecutor", "Pool", "Process", "fork")
                    for s in _call_scopes(_parse(name), callee))
     assert sites == ["taylor._build_models"], f"process pools created at {sites}"
+
+
+def test_one_thread_pool_site():
+    # the stencil chunks and the sparse ALS rank blocks share one helper,
+    # which sizes the pool and joins its threads before the next build
+    # counts them
+    sites = sorted(f"{name}.{s}" for name in MODULES
+                   for callee in ("ThreadPoolExecutor", "ThreadPool", "Thread", "start_new_thread")
+                   for s in _call_scopes(_parse(name), callee))
+    assert sites == ["taylor._thread_map"], f"thread pools created at {sites}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -656,6 +657,101 @@ class TestJobRunner:
         assert (many, one) == (min(6, cpus), 1)
 
 
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """Forces the CPU count that sizes the thread pools, whatever the host
+    offers, and records the thread count of each pool that starts."""
+    monkeypatch.setattr(taylor, "_cpu_count", lambda: request.param)
+    pools = []
+
+    class Counted(taylor.ThreadPoolExecutor):
+        def __init__(self, threads, **kwargs):
+            pools.append(threads)
+            super().__init__(threads, **kwargs)
+
+    monkeypatch.setattr(taylor, "ThreadPoolExecutor", Counted)
+    return SimpleNamespace(count=request.param, pools=pools)
+
+
+def _task_count():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+
+class TestThreads:
+    # ring:7 (63 states) takes the structured path, whose stencil chunks
+    # and ALS rank blocks run on threads; its stencils fit in one chunk of
+    # the default size, so smaller chunks give them several
+    CHUNK = 64
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(taylor, "_STENCIL_CHUNK", self.CHUNK)
+
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_stencil_values_keep_their_bytes(self, ring7_sys, small_chunks, cpus, order):
+        tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, order)]
+        h = taylor._FD_STEPS[order] * np.maximum(1.0, np.abs(ring7_sys.x0))
+        got = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
+                                      tuples, order)
+        assert len(tuples) > 2 * self.CHUNK
+        assert cpus.pools == ([] if cpus.count == 1 else [3])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(taylor, "_cpu_count", lambda: 1)
+            want = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
+                                           tuples, order)
+        assert _same_bytes(got, want)
+
+    @pytest.mark.parametrize("cpus", [3], indirect=True)
+    @pytest.mark.parametrize("order, rank", [(2, 5), (3, 7)])
+    def test_coo_als_keeps_its_bytes(self, ring7_sys, cpus, order, rank):
+        coords, values = taylor._structured_coo(ring7_sys, order)
+        dims = (ring7_sys.n_states,) * (order + 1)
+        opts = dict(seed=2, max_iters=12, restarts=2, fit_tolerance=0.0)
+        got = taylor._cp_als_coo(dims, coords, values, rank, **opts)
+        # one pool of 3 threads, one rank block each, per MTTKRP call
+        assert cpus.pools == [3] * (12 * 2 * (order + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(taylor, "_cpu_count", lambda: 1)
+            want = taylor._cp_als_coo(dims, coords, values, rank, **opts)
+        for a, b in zip([got.weights, got.fit_history, *got.factors],
+                        [want.weights, want.fit_history, *want.factors]):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("workers", [1], indirect=True)
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_in_process_build_leaves_no_thread(self, ring7_sys, workers, cpus):
+        threads, tasks = threading.active_count(), _task_count()
+        ms = taylor.build_model_set(ring7_sys, levels=(1.0,), ranks=(3, 2),
+                                    cp_options=dict(max_iters=4))
+        assert cpus.pools and set(cpus.pools) == {2}
+        assert threading.active_count() == threads
+        assert _task_count() == tasks
+        # the jobs' timings ride on the set, beside the persisted iterations
+        timings = ms.timings["1.0"]
+        assert [timings[f"order{o}"]["als_iterations"] for o in (2, 3)] == \
+            ms.meta["iterations"]["1.0"]
+        for job in timings.values():
+            assert job["threads"] == 2 and job["stencil_s"] > 0 and job["als_s"] > 0
+
+    @pytest.mark.skipif(_task_count() is None, reason="no /proc/self/task here")
+    def test_worker_count_after_a_threaded_als(self):
+        # the pool's threads are gone from the process when the ALS returns,
+        # so the next build still gets its worker processes
+        code = ("import numpy as np; from tensorsim import taylor; "
+                "taylor._cpu_count = lambda: 2; "
+                "rng = np.random.default_rng(0); "
+                "coords = rng.integers(0, 9, size=(200, 4)); "
+                "taylor._cp_als_coo((9,) * 4, coords, rng.standard_normal(200), 6, "
+                "max_iters=5); "
+                "print(taylor._worker_count(2))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["2"]
+
+
 class TestRefusedBeforeWork:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -675,4 +771,13 @@ class TestRefusedBeforeWork:
         for build in (lambda: taylor.build_model_set(wscc_sys, levels=(1.0,), ranks=ranks),
                       lambda: taylor.build_taylor_model(wscc_sys, ranks)):
             with pytest.raises(ValueError, match="ranks must be >= 1"):
+                build()
+
+    @pytest.mark.parametrize("ranks", [(16,), (16, 16, 16), (2.5, 3), (2, 3.0), (True, 2),
+                                       "auto", "16,12", 16, None])
+    def test_malformed_ranks(self, wscc_sys, ranks):
+        # one rank used to fail in a job, a third was dropped, 2.5 became 2
+        for build in (lambda: taylor.build_model_set(wscc_sys, levels=(1.0,), ranks=ranks),
+                      lambda: taylor.build_taylor_model(wscc_sys, ranks)):
+            with pytest.raises(ValueError, match='ranks must be "full" or two integers'):
                 build()

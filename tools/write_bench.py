@@ -16,6 +16,8 @@ machine:
     ranks, and ``ring:33`` at level 1.0 and ranks (16, 12)), ``cct``
     (force_full and adaptive, bus 7) and ``sweep`` (bus 7) on ``wscc9``,
     each a new process;
+  - the ``ring:33`` build again with numpy's default BLAS threads, where
+    it runs in process and its threads meet the BLAS pool;
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
     force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
     model set;
@@ -45,7 +47,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
-ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ENV = {**os.environ, **dict.fromkeys(BLAS_VARS, "1")}
+DEFAULT_BLAS_ENV = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
 PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "22"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -56,6 +60,8 @@ CLI_RUNS = {
     "cli.cct.adaptive_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "adaptive"],
     "cli.sweep_s": ["sweep", "--system", "wscc9", "--fault-bus", "7"],
 }
+# timed with numpy's default BLAS threads instead
+CLI_DEFAULT_BLAS_RUNS = {"cli.build.ring33_default_s": CLI_RUNS["cli.build.ring33_s"]}
 # run in a side's tree: one timed search per line of the output JSON
 SEARCHES = r"""
 import json, time
@@ -114,9 +120,11 @@ def _perfbench(tree: Path) -> dict:
 
 
 def _cli(tree: Path, work: Path) -> dict:
-    env = {**ENV, "PYTHONPATH": str(tree / "src")}
+    runs = [(name, argv, ENV) for name, argv in CLI_RUNS.items()]
+    runs += [(name, argv, DEFAULT_BLAS_ENV) for name, argv in CLI_DEFAULT_BLAS_RUNS.items()]
     out = {}
-    for name, argv in CLI_RUNS.items():
+    for name, argv, env in runs:
+        env = {**env, "PYTHONPATH": str(tree / "src")}
         dest = work / name
         t = time.perf_counter()
         _run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(dest)], tree, env)
@@ -187,6 +195,7 @@ def _provenance(parent: str) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas_threads": 1,
+        "default_blas_threads": sorted(CLI_DEFAULT_BLAS_RUNS),
     }
 
 
