@@ -143,13 +143,7 @@ def _thread_map(fn, items) -> list:
 # finite differences
 
 
-# Tuples per stencil batch.  The batch size is part of the values' bytes:
-# ``_rhs`` multiplies a whole batch by the admittance matrix at once, and
-# BLAS may pick its kernel by the row count.  With OpenBLAS on a 2-core
-# x86-64 host, 256- and 512-tuple batches gave ``ring:33`` order-2 and
-# order-3 values that differ from 4096-tuple ones (by up to 3e-8), while
-# 1024-tuple ones equal them at both orders.
-_STENCIL_CHUNK = 1024
+_STENCIL_CHUNK = 1024  # tuples per stencil batch, part of the values' bytes
 
 
 def _multiset_values(f_batch, x0, h, tuples, order):
@@ -161,10 +155,14 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     points runs the whole stencil in extended precision.
 
     The tuples go through ``f_batch`` in chunks of :data:`_STENCIL_CHUNK`,
-    spread over :func:`_thread_map`'s threads; each chunk is one
+    spread over :func:`_thread_map`'s threads.  Each chunk is one
     independent batch that writes its own rows, so the thread count
-    leaves the values' bytes alone, but the chunk size does not (see
-    :data:`_STENCIL_CHUNK`).
+    leaves the values' bytes alone.  The chunk size does not: in double
+    precision ``_rhs`` multiplies a whole batch by the admittance matrix
+    in one BLAS call, whose kernel may depend on the row count.  With
+    OpenBLAS on a 2-core x86-64 host, 256- and 512-tuple batches gave
+    ``ring:33`` order-2 and order-3 values that differ from 4096-tuple
+    ones by up to 3e-8, while 1024-tuple ones equal them at both orders.
     """
     x0 = np.asarray(x0)
     n = x0.size

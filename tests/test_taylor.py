@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -658,9 +657,9 @@ class TestJobRunner:
 
 
 @pytest.fixture
-def cpus(request, monkeypatch):
-    """Forces the CPU count that sizes the thread pools, whatever the host
-    offers, and records the thread count of each pool that starts."""
+def pools(request, monkeypatch):
+    """The thread count of each pool that starts, with the CPU count that
+    sizes the pools forced to the parameter, whatever the host offers."""
     monkeypatch.setattr(taylor, "_cpu_count", lambda: request.param)
     pools = []
 
@@ -670,7 +669,7 @@ def cpus(request, monkeypatch):
             super().__init__(threads, **kwargs)
 
     monkeypatch.setattr(taylor, "ThreadPoolExecutor", Counted)
-    return SimpleNamespace(count=request.param, pools=pools)
+    return pools
 
 
 def _task_count():
@@ -687,30 +686,30 @@ class TestThreads:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(taylor, "_STENCIL_CHUNK", self.CHUNK)
 
-    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("pools", [3], indirect=True)
     @pytest.mark.parametrize("order", [2, 3])
-    def test_stencil_values_keep_their_bytes(self, ring7_sys, small_chunks, cpus, order):
+    def test_stencil_values_keep_their_bytes(self, ring7_sys, small_chunks, pools, order):
         tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, order)]
         h = taylor._FD_STEPS[order] * np.maximum(1.0, np.abs(ring7_sys.x0))
         got = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
                                       tuples, order)
         assert len(tuples) > 2 * self.CHUNK
-        assert cpus.pools == ([] if cpus.count == 1 else [3])
+        assert pools == [3]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(taylor, "_cpu_count", lambda: 1)
             want = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
                                            tuples, order)
         assert _same_bytes(got, want)
 
-    @pytest.mark.parametrize("cpus", [3], indirect=True)
+    @pytest.mark.parametrize("pools", [3], indirect=True)
     @pytest.mark.parametrize("order, rank", [(2, 5), (3, 7)])
-    def test_coo_als_keeps_its_bytes(self, ring7_sys, cpus, order, rank):
+    def test_coo_als_keeps_its_bytes(self, ring7_sys, pools, order, rank):
         coords, values = taylor._structured_coo(ring7_sys, order)
         dims = (ring7_sys.n_states,) * (order + 1)
         opts = dict(seed=2, max_iters=12, restarts=2, fit_tolerance=0.0)
         got = taylor._cp_als_coo(dims, coords, values, rank, **opts)
         # one pool of 3 threads, one rank block each, per MTTKRP call
-        assert cpus.pools == [3] * (12 * 2 * (order + 1))
+        assert pools == [3] * (12 * 2 * (order + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(taylor, "_cpu_count", lambda: 1)
             want = taylor._cp_als_coo(dims, coords, values, rank, **opts)
@@ -719,12 +718,12 @@ class TestThreads:
             assert _same_bytes(a, b)
 
     @pytest.mark.parametrize("workers", [1], indirect=True)
-    @pytest.mark.parametrize("cpus", [2], indirect=True)
-    def test_in_process_build_leaves_no_thread(self, ring7_sys, workers, cpus):
+    @pytest.mark.parametrize("pools", [2], indirect=True)
+    def test_in_process_build_leaves_no_thread(self, ring7_sys, workers, pools):
         threads, tasks = threading.active_count(), _task_count()
         ms = taylor.build_model_set(ring7_sys, levels=(1.0,), ranks=(3, 2),
                                     cp_options=dict(max_iters=4))
-        assert cpus.pools and set(cpus.pools) == {2}
+        assert pools and set(pools) == {2}
         assert threading.active_count() == threads
         assert _task_count() == tasks
         # the jobs' timings ride on the set, beside the persisted iterations
