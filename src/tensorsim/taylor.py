@@ -32,7 +32,7 @@ the state count picks between the two enumerators.
 :class:`TaylorModel`.  A model set is built as one job per (level, order),
 run in worker processes (:func:`_build_models`), and inside a job the
 stencil chunks and the sparse ALS rank blocks run on threads
-(:func:`_thread_map`); :func:`compress_taylor_terms` compresses given
+(:func:`_thread_pool`); :func:`compress_taylor_terms` compresses given
 terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
 kernel: an einsum over a dense tensor's nonzero slices
@@ -47,6 +47,7 @@ load level the model of its nearest representative level
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -116,27 +117,84 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _thread_map(fn, items) -> list:
-    """``[fn(item) for item in items]`` on ``min(CPUs, len(items))``
-    threads, serially for one; the one place that creates a thread pool.
+# In a worker of a model-set build: the count of the build's unfinished
+# (level, order) jobs, shared by its workers, and the worker count; set by
+# the pool's initializer (:func:`_join_build`).
+_build_share = None
+# the most threads one map has run on since :func:`_order_job` reset it
+_peak_threads = 1
+_THREAD_EXIT_S = 5.0  # longest wait for a joined pool's threads to leave
 
-    The pool's threads have left the process when it returns, since
+
+def _join_build(unfinished, workers: int) -> None:
+    global _build_share
+    _build_share = unfinished, workers
+
+
+def _free_cpus() -> int:
+    """The CPUs a map started now may use: every CPU of this process, or,
+    in a build worker, its share of those that no sibling job is using,
+    ``CPUs // min(workers, unfinished jobs)``.  So a worker runs one
+    thread while the build has at least as many jobs left as workers,
+    and more once siblings finish."""
+    cpus = _cpu_count()
+    if _build_share is None:
+        return cpus
+    unfinished, workers = _build_share
+    return max(1, cpus // max(1, min(workers, unfinished.value)))
+
+
+class _Threads:
+    """An open pool of at most ``size`` threads, made by :func:`_thread_pool`."""
+
+    def __init__(self, executor, size: int):
+        self.executor, self.size = executor, size
+
+    def lanes(self) -> int:
+        """The most items :meth:`map` may run at once now."""
+        return max(1, min(self.size, _free_cpus()))
+
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]``, one thread per item; the
+        caller passes at most :meth:`lanes` items."""
+        global _peak_threads
+        items = list(items)
+        _peak_threads = max(_peak_threads, len(items))
+        if len(items) <= 1 or self.executor is None:
+            return [fn(item) for item in items]
+        return list(self.executor.map(fn, items))
+
+
+@contextlib.contextmanager
+def _thread_pool(most: int):
+    """A :class:`_Threads` of ``min(most, CPUs)`` threads, the one place
+    that creates a thread pool.  A caller opens it once for all its maps
+    and asks :meth:`_Threads.lanes` before each, so a build worker takes
+    up a sibling's CPU as soon as it is free.  Threads start only when a
+    map runs more than one item.
+
+    The pool's threads have left the process when the block exits, since
     :func:`_worker_count` counts the threads in ``/proc/self/task``.
     Joining a thread ends only its Python side: on a 2-core host, right
     after 375 of 5000 two-thread pools were joined, the kernel still
     listed one of their threads, so this waits until each one's task
-    entry is gone.
+    entry is gone, and raises ``RuntimeError`` after
+    :data:`_THREAD_EXIT_S` seconds.
     """
-    items = list(items)
-    threads = min(_cpu_count(), len(items))
-    if threads <= 1:
-        return [fn(item) for item in items]
+    size = max(1, min(most, _cpu_count()))
+    if size == 1:
+        yield _Threads(None, 1)
+        return
     tids = set()
-    with ThreadPoolExecutor(threads, initializer=lambda: tids.add(threading.get_native_id())) as pool:
-        out = list(pool.map(fn, items))
-    while any(os.path.exists(f"/proc/self/task/{tid}") for tid in tids):
-        time.sleep(1e-4)
-    return out
+    try:
+        with ThreadPoolExecutor(size, initializer=lambda: tids.add(threading.get_native_id())) as pool:
+            yield _Threads(pool, size)
+    finally:
+        deadline = time.monotonic() + _THREAD_EXIT_S
+        while alive := [t for t in tids if os.path.exists(f"/proc/self/task/{t}")]:
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"joined pool threads {alive} still listed after {_THREAD_EXIT_S} s")
+            time.sleep(1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +213,15 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     points runs the whole stencil in extended precision.
 
     The tuples go through ``f_batch`` in chunks of :data:`_STENCIL_CHUNK`,
-    spread over :func:`_thread_map`'s threads.  Each chunk is one
-    independent batch that writes its own rows, so the thread count
-    leaves the values' bytes alone.  The chunk size does not: in double
-    precision ``_rhs`` multiplies a whole batch by the admittance matrix
-    in one BLAS call, whose kernel may depend on the row count.  With
-    OpenBLAS on a 2-core x86-64 host, 256- and 512-tuple batches gave
-    ``ring:33`` order-2 and order-3 values that differ from 4096-tuple
-    ones by up to 3e-8, while 1024-tuple ones equal them at both orders.
+    one wave of chunks per free CPU at a time on a :func:`_thread_pool`.
+    Each chunk is one independent batch that writes its own rows, so the
+    thread count leaves the values' bytes alone.  The chunk size does
+    not: in double precision ``_rhs`` multiplies a whole batch by the
+    admittance matrix in one BLAS call, whose kernel may depend on the
+    row count.  With OpenBLAS on a 2-core x86-64 host, 256- and
+    512-tuple batches gave ``ring:33`` order-2 and order-3 values that
+    differ from 4096-tuple ones by up to 3e-8, while 1024-tuple ones
+    equal them at both orders.
     """
     x0 = np.asarray(x0)
     n = x0.size
@@ -186,7 +245,12 @@ def _multiset_values(f_batch, x0, h, tuples, order):
         denom = (2.0 ** order) * np.prod(hh, axis=1) * fact
         out[lo:lo + _STENCIL_CHUNK] = acc / denom[:, None]
 
-    _thread_map(chunk_values, range(0, len(tuples), _STENCIL_CHUNK))
+    lows = list(range(0, len(tuples), _STENCIL_CHUNK))
+    with _thread_pool(len(lows)) as pool:
+        while lows:
+            lanes = pool.lanes()
+            pool.map(chunk_values, lows[:lanes])
+            lows = lows[lanes:]
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite entries in order-{order} derivatives")
     return out
@@ -357,7 +421,7 @@ def _segment_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
-def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
+def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None, 1)):
     """The MTTKRP ``mttkrp(factors, k)`` of a coordinate-format tensor,
     computed per distinct trailing tuple ``t = (i_1, ..., i_{d-1})`` instead
     of per nonzero: SPLATT's compressed fibers (Smith et al., IPDPS 2015) on
@@ -371,8 +435,8 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
     factors at the tuple level only.  The sort plans are built here, once;
     the work arrays are rank-major, ``(rank, count)``.
 
-    The rank splits into at most one column block per CPU
-    (:func:`_cpu_count`), run on :func:`_thread_map`'s threads.  Every
+    On an open :func:`_thread_pool` (``pool``), each call splits the rank
+    into one column block per lane free at that call.  Every
     step above acts on one rank row at a time: the gathers, the
     elementwise products and the segment sums along the nonzero axis.  So
     each block's columns have the bytes of the unsplit kernel.  The blocks
@@ -425,9 +489,9 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray):
     def mttkrp(factors, k):
         ft = [np.ascontiguousarray(f.T) for f in factors]
         rank = ft[0].shape[0]
-        count = min(_cpu_count(), rank)
+        count = min(pool.lanes(), rank)
         blocks = [(rank * b // count, rank * (b + 1) // count) for b in range(count)]
-        sums = _thread_map(lambda block: block_sums(ft, factors, k, block), blocks)
+        sums = pool.map(lambda block: block_sums(ft, factors, k, block), blocks)
         m = np.zeros((dims[k], rank))
         m[row_ids if k == 0 else trailing[k][3]] = np.concatenate(sums).T
         return m
@@ -450,17 +514,18 @@ def _cp_als_coo(
     tensor, with the tuple-compressed MTTKRP of :func:`_coo_mttkrp`.  The
     defaults are the large-system build's: offline compression favours
     build time, and the evaluation cost downstream depends only on the
-    ranks."""
-    return cp_als(
-        dims,
-        float(np.linalg.norm(values)),
-        _coo_mttkrp(dims, coords, values),
-        rank,
-        max_iters=max_iters,
-        fit_tolerance=fit_tolerance,
-        restarts=restarts,
-        seed=seed,
-    )
+    ranks.  One :func:`_thread_pool` serves every MTTKRP of the call."""
+    with _thread_pool(rank) as pool:
+        return cp_als(
+            dims,
+            float(np.linalg.norm(values)),
+            _coo_mttkrp(dims, coords, values, pool),
+            rank,
+            max_iters=max_iters,
+            fit_tolerance=fit_tolerance,
+            restarts=restarts,
+            seed=seed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +698,23 @@ def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
     """One (level, order) job: build the order's term and compress it.
     Returns the factors and the job's timings: the seconds of the stencil
     (the term) and of the ALS, the ALS iterations, and the most threads
-    its stencil chunks and sparse ALS rank blocks may run on."""
-    start = time.perf_counter()
-    term = _order_term(sys, order)
-    built = time.perf_counter()
-    f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
-    return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
-               "als_iterations": len(f.fit_history),
-               "threads": _cpu_count()}
+    one of its maps ran on (1 when it ran serially).  In a build worker
+    the job counts itself finished on return, freeing its CPUs for its
+    siblings' threads (:func:`_free_cpus`)."""
+    global _peak_threads
+    _peak_threads = 1
+    try:
+        start = time.perf_counter()
+        term = _order_term(sys, order)
+        built = time.perf_counter()
+        f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
+        return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
+                   "als_iterations": len(f.fit_history), "threads": _peak_threads}
+    finally:
+        if _build_share is not None:
+            unfinished = _build_share[0]
+            with unfinished.get_lock():
+                unfinished.value -= 1
 
 
 def _worker_count(jobs: int) -> int:
@@ -665,7 +739,8 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
 
     Each (level, order) job builds that order's term and compresses it;
     its stencil chunks and sparse ALS rank blocks run on threads
-    (:func:`_thread_map`).
+    (:func:`_thread_pool`), in a worker only on CPUs that no sibling job
+    is using (:func:`_free_cpus`).
     The jobs run in :func:`_worker_count` worker processes, order 3 first
     since those take longest, while this process computes the Jacobians;
     one worker means no pool.  Workers are forked where the platform can
@@ -682,7 +757,9 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
     else:
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if fork else None)
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        unfinished = context.Value("i", len(jobs))
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_join_build,
+                                 initargs=(unfinished, workers)) as pool:
             futures = [pool.submit(_attempt, _order_job, *a) for a in args]
             a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
             done = [f.result() for f in futures]

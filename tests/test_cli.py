@@ -292,7 +292,8 @@ class TestBuildAndConsumers:
         assert [jobs[f"order{o}"]["als_iterations"] for o in (2, 3)] == report["iterations"]["1.0"]
         for job in jobs.values():
             assert set(job) == {"stencil_s", "als_s", "als_iterations", "threads"}
-            assert job["threads"] == taylor._cpu_count()
+            # the dense path (27 states) runs no thread pool
+            assert job["threads"] == 1
         run = tmp_path / "r"
         code = run_cli(
             ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -166,7 +166,7 @@ def test_one_thread_pool_site():
     sites = sorted(f"{name}.{s}" for name in MODULES
                    for callee in ("ThreadPoolExecutor", "ThreadPool", "Thread", "start_new_thread")
                    for s in _call_scopes(_parse(name), callee))
-    assert sites == ["taylor._thread_map"], f"thread pools created at {sites}"
+    assert sites == ["taylor._thread_pool"], f"thread pools created at {sites}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -708,8 +708,8 @@ class TestThreads:
         dims = (ring7_sys.n_states,) * (order + 1)
         opts = dict(seed=2, max_iters=12, restarts=2, fit_tolerance=0.0)
         got = taylor._cp_als_coo(dims, coords, values, rank, **opts)
-        # one pool of 3 threads, one rank block each, per MTTKRP call
-        assert pools == [3] * (12 * 2 * (order + 1))
+        # one pool of 3 threads for the whole ALS, one rank block per thread
+        assert pools == [3]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(taylor, "_cpu_count", lambda: 1)
             want = taylor._cp_als_coo(dims, coords, values, rank, **opts)
@@ -732,6 +732,57 @@ class TestThreads:
             ms.meta["iterations"]["1.0"]
         for job in timings.values():
             assert job["threads"] == 2 and job["stencil_s"] > 0 and job["als_s"] > 0
+
+    @pytest.mark.parametrize("pools", [2], indirect=True)
+    def test_build_worker_threads_only_on_free_cpus(self, ring7_sys, small_chunks, pools,
+                                                    monkeypatch):
+        # a worker of a 2-worker build on 2 CPUs runs serially while a
+        # sibling job is unfinished, and on both CPUs once it is the last;
+        # each finished job counts itself off, and the bytes stay the same
+        unfinished = multiprocessing.Value("i", 2)
+        monkeypatch.setattr(taylor, "_build_share", (unfinished, 2))
+        opts = dict(max_iters=4)
+        first, first_timings = taylor._order_job(ring7_sys, 3, (3, 2), 0, opts)
+        assert first_timings["threads"] == 1 and unfinished.value == 1
+        last, last_timings = taylor._order_job(ring7_sys, 3, (3, 2), 0, opts)
+        assert last_timings["threads"] == 2 and unfinished.value == 0
+        assert all(_same_bytes(a, b) for a, b in zip(
+            [first.weights, first.fit_history, *first.factors],
+            [last.weights, last.fit_history, *last.factors]))
+
+    def test_stencil_takes_up_a_freed_cpu(self, ring7_sys, small_chunks, monkeypatch):
+        # a sibling finishes while the stencil runs: the next wave of chunks
+        # runs on two threads, and the values keep their bytes
+        monkeypatch.setattr(taylor, "_cpu_count", lambda: 2)
+        tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, 3)]
+        h = taylor._FD_STEPS[3] * np.maximum(1.0, np.abs(ring7_sys.x0))
+        batch = taylor._prefault_batch(ring7_sys)
+        want = taylor._multiset_values(batch, ring7_sys.x0, h, tuples, 3)
+        unfinished = multiprocessing.Value("i", 2)
+        monkeypatch.setattr(taylor, "_build_share", (unfinished, 2))
+        waves = []
+
+        def f_batch(x):
+            waves.append((unfinished.value, threading.get_ident()))
+            unfinished.value = 1
+            return batch(x)
+
+        got = taylor._multiset_values(f_batch, ring7_sys.x0, h, tuples, 3)
+        assert _same_bytes(got, want)
+        assert waves[0][0] == 2
+        assert len({ident for _, ident in waves} - {threading.get_ident()}) == 2
+
+    def test_unending_pool_thread_fails_loudly(self, monkeypatch):
+        # a joined pool whose threads the kernel keeps listing raises
+        # instead of waiting for ever
+        monkeypatch.setattr(taylor, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(taylor, "_THREAD_EXIT_S", 0.01)
+        exists = os.path.exists
+        monkeypatch.setattr(taylor.os.path, "exists",
+                            lambda path: path.startswith("/proc/self/task/") or exists(path))
+        with pytest.raises(RuntimeError, match="still listed"):
+            with taylor._thread_pool(2) as pool:
+                assert pool.map(abs, [-1, -2]) == [1, 2]
 
     @pytest.mark.skipif(_task_count() is None, reason="no /proc/self/task here")
     def test_worker_count_after_a_threaded_als(self):
