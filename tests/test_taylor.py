@@ -750,9 +750,37 @@ class TestThreads:
             [first.weights, first.fit_history, *first.factors],
             [last.weights, last.fit_history, *last.factors]))
 
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_every_pooled_job_counts_itself_off(self, ring7_sys, ring5_sys, workers,
+                                                monkeypatch):
+        # the workers share the count of unfinished jobs; each job, a failed
+        # one too, takes itself off it, so it ends at zero
+        shares = []
+
+        class Captured(taylor.ProcessPoolExecutor):
+            def __init__(self, *args, initargs=(), **kwargs):
+                shares.append(initargs[0])
+                super().__init__(*args, initargs=initargs, **kwargs)
+
+        real = taylor._order_term
+
+        def order_term(sys, order):
+            if sys.n_states == ring5_sys.n_states and order == 3:
+                raise taylor.NumericalError("order-3 term failed")
+            return real(sys, order)
+
+        monkeypatch.setattr(taylor, "ProcessPoolExecutor", Captured)
+        monkeypatch.setattr(taylor, "_order_term", order_term)
+        systems = {1.0: ring7_sys, 1.1: ring5_sys}
+        models, _ = taylor._build_models(systems, (3, 2), 0, dict(max_iters=2))
+        assert isinstance(models[1.0], taylor.TaylorModel)
+        assert isinstance(models[1.1], taylor.NumericalError)
+        assert len(shares) == 1 and shares[0].value == 0
+        assert multiprocessing.active_children() == []
+
     def test_stencil_takes_up_a_freed_cpu(self, ring7_sys, small_chunks, monkeypatch):
-        # a sibling finishes while the stencil runs: the next wave of chunks
-        # runs on two threads, and the values keep their bytes
+        # a sibling finishes while the stencil runs: the later waves of
+        # chunks run two at a time on the pool, and the values keep their bytes
         monkeypatch.setattr(taylor, "_cpu_count", lambda: 2)
         tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, 3)]
         h = taylor._FD_STEPS[3] * np.maximum(1.0, np.abs(ring7_sys.x0))
@@ -767,10 +795,16 @@ class TestThreads:
             unfinished.value = 1
             return batch(x)
 
+        monkeypatch.setattr(taylor, "_peak_threads", 1)
         got = taylor._multiset_values(f_batch, ring7_sys.x0, h, tuples, 3)
         assert _same_bytes(got, want)
-        assert waves[0][0] == 2
-        assert len({ident for _, ident in waves} - {threading.get_ident()}) == 2
+        # the first chunk ran alone, in this thread; later waves of two on
+        # the pool (a last wave of one runs here again)
+        signs = 2 ** 3
+        main = threading.get_ident()
+        assert waves[0][0] == 2 and {ident for _, ident in waves[:signs]} == {main}
+        assert {ident for _, ident in waves[signs:]} - {main}
+        assert taylor._peak_threads == 2
 
     def test_unending_pool_thread_fails_loudly(self, monkeypatch):
         # a joined pool whose threads the kernel keeps listing raises
