@@ -71,7 +71,7 @@ _FLAGS = {
                      help="representative model load levels (comma separated)"),
     "--ranks": dict(default="30,36",
                     help="'r2,r3', 'full' (exact factors), or 'auto' (rank search)"),
-    "--models": dict(default=None, help="prebuilt model-set .npz (else built in process)"),
+    "--models": dict(default=None, help="prebuilt model-set .npz (else one is built)"),
     "--fault-bus": dict(type=int, default=None, help="required (here or in the config file)"),
     "--t-on": dict(type=float, default=0.0),
     "--t-clear": dict(type=float, default=None),
@@ -256,7 +256,7 @@ def _scenario(args) -> sim.Scenario:
 
 
 def _model_set(args, sys):
-    """Load a prebuilt model set or build one in process."""
+    """Load a prebuilt model set or build one."""
     if getattr(args, "models", None):
         ms = ty.load_model_set(args.models)
         n = ms.models[ms.levels[0]].n

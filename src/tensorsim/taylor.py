@@ -53,7 +53,6 @@ import json
 import multiprocessing
 import numbers
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -123,7 +122,6 @@ def _cpu_count() -> int:
 _build_share = None
 # the most threads one map has run on since :func:`_order_job` reset it
 _peak_threads = 1
-_THREAD_EXIT_S = 5.0  # longest wait for a joined pool's threads to leave
 
 
 def _join_build(unfinished, workers: int) -> None:
@@ -171,30 +169,14 @@ def _thread_pool(most: int):
     that creates a thread pool.  A caller opens it once for all its maps
     and asks :meth:`_Threads.lanes` before each, so a build worker takes
     up a sibling's CPU as soon as it is free.  Threads start only when a
-    map runs more than one item.
-
-    The pool's threads have left the process when the block exits, since
-    :func:`_worker_count` counts the threads in ``/proc/self/task``.
-    Joining a thread ends only its Python side: on a 2-core host, right
-    after 375 of 5000 two-thread pools were joined, the kernel still
-    listed one of their threads, so this waits until each one's task
-    entry is gone, and raises ``RuntimeError`` after
-    :data:`_THREAD_EXIT_S` seconds.
+    map runs more than one item, and are joined when the block exits.
     """
     size = max(1, min(most, _cpu_count()))
     if size == 1:
         yield _Threads(None, 1)
         return
-    tids = set()
-    try:
-        with ThreadPoolExecutor(size, initializer=lambda: tids.add(threading.get_native_id())) as pool:
-            yield _Threads(pool, size)
-    finally:
-        deadline = time.monotonic() + _THREAD_EXIT_S
-        while alive := [t for t in tids if os.path.exists(f"/proc/self/task/{t}")]:
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"joined pool threads {alive} still listed after {_THREAD_EXIT_S} s")
-            time.sleep(1e-4)
+    with ThreadPoolExecutor(size) as pool:
+        yield _Threads(pool, size)
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +699,8 @@ def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
                 unfinished.value -= 1
 
 
-def _worker_count(jobs: int) -> int:
-    """``min(jobs, CPUs this process may use)`` for a process that runs one
-    thread, else 1.  A second thread is most often a BLAS pool, which each
-    forked worker would inherit: on 2 cores, two workers with two BLAS
-    threads each built the acceptance set 5.5 times slower than one
-    process.  Where the thread count cannot be read, one is assumed."""
-    try:
-        if len(os.listdir("/proc/self/task")) > 1:
-            return 1
-    except OSError:
-        pass
-    return max(1, min(jobs, _cpu_count()))
+# BLAS thread counts, pinned to 1 for the build's workers
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_models(systems: dict, ranks, seed: int, cp_options):
@@ -741,28 +713,40 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
     its stencil chunks and sparse ALS rank blocks run on threads
     (:func:`_thread_pool`), in a worker only on CPUs that no sibling job
     is using (:func:`_free_cpus`).
-    The jobs run in :func:`_worker_count` worker processes, order 3 first
+    The jobs run in ``min(jobs, CPUs)`` worker processes, order 3 first
     since those take longest, while this process computes the Jacobians;
-    one worker means no pool.  Workers are forked where the platform can
-    fork: a pool exists only in a process that runs one thread, where
-    forking is safe, and on 2 cores a spawned pool of two took 0.32-0.35 s
-    to start against 13-19 ms forked.  Every job is deterministic and owns its seed, so the
-    models have the bytes of an in-process build."""
+    with one usable CPU they run in process.  The workers are spawned
+    with BLAS on one thread: the variables of :data:`_BLAS_VARS` are 1 in
+    ``os.environ`` while the pool lives, and restored after it.  A fork
+    server would keep the environment of whichever pool started it
+    first.  On 2 cores a spawned pool of two took 0.34-0.37 s to start
+    and join, against 13-19 ms forked, and spawning re-imports the
+    caller's ``__main__``.  Every job is
+    deterministic and owns its seed, so the models have the bytes of an
+    in-process build with BLAS on one thread, whatever the caller's."""
     jobs = [(lv, order) for order in (3, 2) for lv in systems]
     args = [(systems[lv], order, ranks, seed, cp_options) for lv, order in jobs]
-    workers = _worker_count(len(jobs))
-    if workers == 1:
+    workers = min(len(jobs), _cpu_count())
+    if workers <= 1:
         a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
         done = [_attempt(_order_job, *a) for a in args]
     else:
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if fork else None)
-        unfinished = context.Value("i", len(jobs))
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_join_build,
-                                 initargs=(unfinished, workers)) as pool:
-            futures = [pool.submit(_attempt, _order_job, *a) for a in args]
-            a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
-            done = [f.result() for f in futures]
+        saved = {k: os.environ.get(k) for k in _BLAS_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
+        try:
+            context = multiprocessing.get_context("spawn")
+            unfinished = context.Value("i", len(jobs))
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=_join_build,
+                                     initargs=(unfinished, workers)) as pool:
+                futures = [pool.submit(_attempt, _order_job, *a) for a in args]
+                a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
+                done = [f.result() for f in futures]
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
     results = dict(zip(jobs, done))
     out, timings = {}, {}
     for lv, sys_l in systems.items():

@@ -5,7 +5,8 @@ optional parameter of the library is set by some caller, every field of
 a library dataclass is read somewhere, only ``taylor`` reaches the
 derivative enumerators, one call site outside ``power_model`` builds a
 faulted network, two call the RK4 loop of one state, one creates a
-process pool and one a thread pool.
+process pool, on the spawn start method, and one a thread pool, and no
+module reads ``/proc``.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -157,12 +158,26 @@ def test_one_process_pool_site():
                    for callee in ("ProcessPoolExecutor", "Pool", "Process", "fork")
                    for s in _call_scopes(_parse(name), callee))
     assert sites == ["taylor._build_models"], f"process pools created at {sites}"
+    # its workers are spawned: a fork server keeps the environment of the
+    # first pool it served, which may lack the workers' one-thread BLAS
+    contexts = sorted(f"{name}.{s}" for name in MODULES
+                      for s in _call_scopes(_parse(name), "get_context"))
+    assert contexts == ["taylor._build_models"], f"start methods chosen at {contexts}"
+    methods = [ast.literal_eval(node.args[0]) for node in ast.walk(_parse("taylor"))
+               if isinstance(node, ast.Call) and _callee(node) == "get_context"]
+    assert methods == ["spawn"]
+    # and no process state that no artifact records, such as its thread
+    # count, decides how a model set is built
+    reads = sorted(f"{name}.py:{node.lineno}" for name in MODULES
+                   for node in ast.walk(_parse(name))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.startswith("/proc"))
+    assert not reads, f"/proc read at {reads}"
 
 
 def test_one_thread_pool_site():
     # the stencil chunks and the sparse ALS rank blocks share one helper,
-    # which sizes the pool and joins its threads before the next build
-    # counts them
+    # which sizes the pool and joins its threads
     sites = sorted(f"{name}.{s}" for name in MODULES
                    for callee in ("ThreadPoolExecutor", "ThreadPool", "Thread", "start_new_thread")
                    for s in _call_scopes(_parse(name), callee))

@@ -1,9 +1,13 @@
+import copy
+import functools
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,10 +557,51 @@ def _same_bytes(a, b):
 
 @pytest.fixture
 def workers(request, monkeypatch):
-    """Forces the job runner's worker count: 1 runs the jobs in process,
-    2 runs them in a pool whatever the host offers."""
-    monkeypatch.setattr(taylor, "_worker_count", lambda jobs: min(jobs, request.param))
+    """Forces the CPU count the job runner reads: 1 runs the jobs in
+    process, 2 runs them in a pool of two whatever the host offers."""
+    monkeypatch.setattr(taylor, "_cpu_count", lambda: request.param)
     return request.param
+
+
+def _oracle(sys_m, levels, ranks, seed, opts):
+    """Each level's model compressed in process from its terms."""
+    return {lv: taylor.compress_taylor_terms(s, taylor.taylor_terms(s), ranks, seed=seed,
+                                             cp_options=opts)
+            for lv, s in taylor.solve_levels(sys_m, levels).items()}
+
+
+def _blas_env(threads):
+    """This process's environment with BLAS on ``threads`` threads, or on
+    numpy's default for None; ``tensorsim`` and this module importable."""
+    env = {k: v for k, v in os.environ.items() if k not in taylor._BLAS_VARS}
+    if threads is not None:
+        env.update(dict.fromkeys(taylor._BLAS_VARS, str(threads)))
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    return env
+
+
+def _pinned(tmp_path, fn, *args):
+    """``fn(*args)`` in a new process with BLAS on one thread, as the
+    pooled build's workers run; ``fn`` is a module-level function."""
+    call, result = tmp_path / "call.pkl", tmp_path / "result.pkl"
+    call.write_bytes(pickle.dumps((fn, args)))
+    code = ("import pickle, sys; fn, args = pickle.load(open(sys.argv[1], 'rb')); "
+            "pickle.dump(fn(*args), open(sys.argv[2], 'wb'))")
+    subprocess.run([sys.executable, "-c", code, str(call), str(result)], env=_blas_env(1),
+                   check=True, timeout=300)
+    return pickle.loads(result.read_bytes())
+
+
+_ORDER_JOB = taylor._order_job
+
+
+def _job_failing_off_nominal(exc, failing, sys_m, order, *args):
+    """A (level, order) job whose orders in ``failing`` raise ``exc`` at
+    every level but 1.0; a spawned worker imports it from here."""
+    if sys_m.load_level != 1.0 and order in failing:
+        raise exc(f"order-{order} term failed")
+    return _ORDER_JOB(sys_m, order, *args)
 
 
 @pytest.fixture(scope="module")
@@ -572,15 +617,15 @@ class TestJobRunner:
 
     @pytest.mark.parametrize("workers", [1, 2], indirect=True)
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_equals_in_process_oracle(self, request, workers, case):
+    def test_equals_in_process_oracle(self, request, tmp_path, workers, case):
+        # a pool's workers run BLAS on one thread, so its oracle does too
         fixture, levels, ranks = self.CASES[case]
         sys = request.getfixturevalue(fixture)
         ms = taylor.build_model_set(sys, levels=levels, ranks=ranks, seed=4,
                                     cp_options=self.OPTS)
         assert multiprocessing.active_children() == []
-        oracle = {lv: taylor.compress_taylor_terms(s, taylor.taylor_terms(s), ranks, seed=4,
-                                                   cp_options=self.OPTS)
-                  for lv, s in taylor.solve_levels(sys, levels).items()}
+        args = (sys, levels, ranks, 4, self.OPTS)
+        oracle = _oracle(*args) if workers == 1 else _pinned(tmp_path, _oracle, *args)
         assert ms.levels == levels and list(ms.models) == list(levels)
         for lv in levels:
             got, want = _model_arrays(ms.models[lv]), _model_arrays(oracle[lv])
@@ -604,14 +649,8 @@ class TestJobRunner:
                                                     exc, failing, reported):
         # each failing level reports its lowest failing order's message, in
         # level order, whether the job ran in a worker or in process
-        real = taylor._order_term
-
-        def order_term(sys, order):
-            if sys.load_level != 1.0 and order in failing:
-                raise exc(f"order-{order} term failed")
-            return real(sys, order)
-
-        monkeypatch.setattr(taylor, "_order_term", order_term)
+        monkeypatch.setattr(taylor, "_order_job",
+                            functools.partial(_job_failing_off_nominal, exc, failing))
         with pytest.raises(taylor.ModelBuildError) as info:
             taylor.build_model_set(wscc_sys, levels=(0.8, 1.0, 1.2), ranks=(2, 2),
                                    cp_options=dict(max_iters=2))
@@ -627,34 +666,41 @@ class TestJobRunner:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [2], indirect=True)
-    def test_one_level_model_is_the_oracle(self, ring5_sys, workers):
+    def test_one_level_model_is_the_oracle(self, tmp_path, ring5_sys, workers):
         model = taylor.build_taylor_model(ring5_sys, (3, 2))
-        oracle = taylor.compress_taylor_terms(ring5_sys, taylor.taylor_terms(ring5_sys), (3, 2))
+        oracle = _pinned(tmp_path, _oracle, ring5_sys, (1.0,), (3, 2), 0, None)[1.0]
         assert all(_same_bytes(a, b) for a, b in zip(_model_arrays(model), _model_arrays(oracle)))
         assert multiprocessing.active_children() == []
 
-    def test_worker_count_is_one_beside_another_thread(self):
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            assert taylor._worker_count(6) == 1
-        finally:
-            stop.set()
-            other.join()
+    @pytest.mark.parametrize("argv", [["--system", "wscc9", "--ranks", "4,3"],
+                                      ["--system", "ring:7", "--levels", "1.0", "--ranks", "4,3"]],
+                             ids=["wscc9", "ring7"])
+    def test_bytes_do_not_follow_the_blas_threads(self, tmp_path, argv):
+        # a build in a default shell persists the bytes of one with BLAS
+        # pinned to one thread
+        persisted = {}
+        for threads in (None, 1):
+            out = tmp_path / str(threads)
+            subprocess.run([sys.executable, "-m", "tensorsim.cli", "build", *argv,
+                            "--out", str(out)], env=_blas_env(threads), check=True,
+                           capture_output=True, timeout=300)
+            persisted[threads] = [(out / name).read_bytes()
+                                  for name in ("models.npz", "build_report.json")]
+        assert persisted[None] == persisted[1]
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
-    def test_worker_count_of_a_one_thread_process(self):
-        code = ("import os; from tensorsim import taylor; "
-                "print(taylor._worker_count(6), taylor._worker_count(1), "
-                "len(os.sched_getaffinity(0)))")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
-        many, one, cpus = (int(v) for v in out)
-        assert (many, one) == (min(6, cpus), 1)
-
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    @pytest.mark.parametrize("before", ["set", "unset"])
+    def test_caller_blas_variables_restored(self, monkeypatch, ring5_sys, workers, before):
+        for k, v in zip(taylor._BLAS_VARS, ("3", "2", "4")):
+            if before == "set":
+                monkeypatch.setenv(k, v)
+            else:
+                monkeypatch.delenv(k, raising=False)
+        want = {k: os.environ.get(k) for k in taylor._BLAS_VARS}
+        taylor.build_model_set(ring5_sys, levels=(1.0,), ranks=(2, 2),
+                               cp_options=dict(max_iters=2))
+        assert {k: os.environ.get(k) for k in taylor._BLAS_VARS} == want
+        assert multiprocessing.active_children() == []
 
 @pytest.fixture
 def pools(request, monkeypatch):
@@ -670,10 +716,6 @@ def pools(request, monkeypatch):
 
     monkeypatch.setattr(taylor, "ThreadPoolExecutor", Counted)
     return pools
-
-
-def _task_count():
-    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 
 
 class TestThreads:
@@ -719,19 +761,20 @@ class TestThreads:
 
     @pytest.mark.parametrize("workers", [1], indirect=True)
     @pytest.mark.parametrize("pools", [2], indirect=True)
-    def test_in_process_build_leaves_no_thread(self, ring7_sys, workers, pools):
-        threads, tasks = threading.active_count(), _task_count()
+    def test_in_process_build_leaves_no_thread(self, ring7_sys, pools, workers):
+        # the workers fixture, set up last, leaves one usable CPU: the jobs
+        # run in process, each on one thread, and no thread pool starts
+        threads = threading.active_count()
         ms = taylor.build_model_set(ring7_sys, levels=(1.0,), ranks=(3, 2),
                                     cp_options=dict(max_iters=4))
-        assert pools and set(pools) == {2}
+        assert pools == []
         assert threading.active_count() == threads
-        assert _task_count() == tasks
         # the jobs' timings ride on the set, beside the persisted iterations
         timings = ms.timings["1.0"]
         assert [timings[f"order{o}"]["als_iterations"] for o in (2, 3)] == \
             ms.meta["iterations"]["1.0"]
         for job in timings.values():
-            assert job["threads"] == 2 and job["stencil_s"] > 0 and job["als_s"] > 0
+            assert job["threads"] == 1 and job["stencil_s"] > 0 and job["als_s"] > 0
 
     @pytest.mark.parametrize("pools", [2], indirect=True)
     def test_build_worker_threads_only_on_free_cpus(self, ring7_sys, small_chunks, pools,
@@ -751,8 +794,7 @@ class TestThreads:
             [last.weights, last.fit_history, *last.factors]))
 
     @pytest.mark.parametrize("workers", [2], indirect=True)
-    def test_every_pooled_job_counts_itself_off(self, ring7_sys, ring5_sys, workers,
-                                                monkeypatch):
+    def test_every_pooled_job_counts_itself_off(self, ring7_sys, workers, monkeypatch):
         # the workers share the count of unfinished jobs; each job, a failed
         # one too, takes itself off it, so it ends at zero
         shares = []
@@ -762,19 +804,15 @@ class TestThreads:
                 shares.append(initargs[0])
                 super().__init__(*args, initargs=initargs, **kwargs)
 
-        real = taylor._order_term
-
-        def order_term(sys, order):
-            if sys.n_states == ring5_sys.n_states and order == 3:
-                raise taylor.NumericalError("order-3 term failed")
-            return real(sys, order)
-
+        # a closed voltage loop fails both structured terms inside their jobs
+        closed = copy.copy(ring7_sys)
+        closed._p = {**ring7_sys._p, "ka": ring7_sys._p["ka"] + 1.0}
         monkeypatch.setattr(taylor, "ProcessPoolExecutor", Captured)
-        monkeypatch.setattr(taylor, "_order_term", order_term)
-        systems = {1.0: ring7_sys, 1.1: ring5_sys}
-        models, _ = taylor._build_models(systems, (3, 2), 0, dict(max_iters=2))
+        models, _ = taylor._build_models({1.0: ring7_sys, 1.1: closed}, (3, 2), 0,
+                                         dict(max_iters=2))
         assert isinstance(models[1.0], taylor.TaylorModel)
-        assert isinstance(models[1.1], taylor.NumericalError)
+        assert isinstance(models[1.1], taylor.ModelBuildError)
+        assert "open exciter voltage loops" in str(models[1.1])
         assert len(shares) == 1 and shares[0].value == 0
         assert multiprocessing.active_children() == []
 
@@ -805,35 +843,6 @@ class TestThreads:
         assert waves[0][0] == 2 and {ident for _, ident in waves[:signs]} == {main}
         assert {ident for _, ident in waves[signs:]} - {main}
         assert taylor._peak_threads == 2
-
-    def test_unending_pool_thread_fails_loudly(self, monkeypatch):
-        # a joined pool whose threads the kernel keeps listing raises
-        # instead of waiting for ever
-        monkeypatch.setattr(taylor, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(taylor, "_THREAD_EXIT_S", 0.01)
-        exists = os.path.exists
-        monkeypatch.setattr(taylor.os.path, "exists",
-                            lambda path: path.startswith("/proc/self/task/") or exists(path))
-        with pytest.raises(RuntimeError, match="still listed"):
-            with taylor._thread_pool(2) as pool:
-                assert pool.map(abs, [-1, -2]) == [1, 2]
-
-    @pytest.mark.skipif(_task_count() is None, reason="no /proc/self/task here")
-    def test_worker_count_after_a_threaded_als(self):
-        # the pool's threads are gone from the process when the ALS returns,
-        # so the next build still gets its worker processes
-        code = ("import numpy as np; from tensorsim import taylor; "
-                "taylor._cpu_count = lambda: 2; "
-                "rng = np.random.default_rng(0); "
-                "coords = rng.integers(0, 9, size=(200, 4)); "
-                "taylor._cp_als_coo((9,) * 4, coords, rng.standard_normal(200), 6, "
-                "max_iters=5); "
-                "print(taylor._worker_count(2))")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.split() == ["2"]
 
 
 class TestRefusedBeforeWork:

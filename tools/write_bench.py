@@ -16,12 +16,13 @@ machine:
     ranks, and ``ring:33`` at level 1.0 and ranks (16, 12)), ``cct``
     (force_full and adaptive, bus 7) and ``sweep`` (bus 7) on ``wscc9``,
     each a new process;
-  - the ``ring:33`` build again with numpy's default BLAS threads, where
-    it runs in process and its threads meet the BLAS pool;
+  - both builds again with numpy's default BLAS threads, as in a default
+    shell (observations beside the pinned timings, not claims);
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
     force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
     model set;
-* the wall time of the tier-1 suite, once per side.
+* the wall time of the tier-1 suite, once per side, with its summary
+  line and pytest's ``-rf`` line of each failed test.
 
 Each metric gets each side's median and quartiles, the ratio of the
 medians (change over parent) and the number of pairs the change won; every
@@ -52,7 +53,7 @@ ENV = {**os.environ, **dict.fromkeys(BLAS_VARS, "1")}
 DEFAULT_BLAS_ENV = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
 PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "22"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
+         "-p", "no:cacheprovider", "-rf"]
 CLI_RUNS = {
     "cli.build.wscc9_s": ["build", "--system", "wscc9"],
     "cli.build.ring33_s": ["build", "--system", "ring:33", "--levels", "1.0", "--ranks", "16,12"],
@@ -61,7 +62,8 @@ CLI_RUNS = {
     "cli.sweep_s": ["sweep", "--system", "wscc9", "--fault-bus", "7"],
 }
 # timed with numpy's default BLAS threads instead
-CLI_DEFAULT_BLAS_RUNS = {"cli.build.ring33_default_s": CLI_RUNS["cli.build.ring33_s"]}
+CLI_DEFAULT_BLAS_RUNS = {"cli.build.wscc9_default_s": CLI_RUNS["cli.build.wscc9_s"],
+                         "cli.build.ring33_default_s": CLI_RUNS["cli.build.ring33_s"]}
 # run in a side's tree: one timed search per line of the output JSON
 SEARCHES = r"""
 import json, time
@@ -142,8 +144,10 @@ def _tier1(tree: Path) -> dict:
     env = {**ENV, "PYTHONPATH": str(tree / "src")}
     t = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
     return {"tier1.wall_s": time.perf_counter() - t,
-            "tier1.summary": proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""}
+            "tier1.summary": lines[-1] if lines else "",
+            "tier1.failed": [line for line in lines if line.startswith("FAILED ")]}
 
 
 def _better() -> dict:
