@@ -46,6 +46,7 @@ _CONFIG_ERRORS = (ConfigError, pm.SystemDataError, ValueError)
 _NUMERICAL_ERRORS = (
     pm.PowerFlowError,
     pm.EquilibriumError,
+    pm.NetworkError,
     ty.ModelBuildError,
     ty.NumericalError,
     st.CctError,

@@ -346,7 +346,10 @@ class PowerFlowSolution:
 def solve_power_flow(spec: SystemSpec, load_level: float = 1.0) -> PowerFlowSolution:
     """Newton-Raphson power flow with all loads and PV-bus generation
     scaled by ``load_level`` (the slack absorbs the residual), to a
-    mismatch of 1e-10 within 50 iterations."""
+    mismatch of 1e-10 within 50 iterations.  A non-finite level is refused
+    before any work."""
+    if not math.isfinite(load_level):
+        raise ValueError(f"load level must be finite, got {load_level}")
     tol, max_iter = 1e-10, 50
     n = len(spec.buses)
     idx = spec.bus_index()

@@ -89,8 +89,11 @@ class SwitchPolicy:
     norm_threshold_pu: float = 1.0
 
     def __post_init__(self):
-        if self.angle_threshold_deg <= 0:
+        # written so that NaN fails too
+        if not self.angle_threshold_deg > 0:
             raise ValueError("angle threshold must be > 0")
+        if not self.norm_threshold_pu > 0:
+            raise ValueError("norm threshold must be > 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'")
 
@@ -261,6 +264,8 @@ def select_reference_generator(sys: pm.SystemModel, norms: dict | None = None,
 
 
 def _grid_step(t: float, dt: float, what: str) -> int:
+    if not math.isfinite(t):
+        raise ValueError(f"{what}={t} is not a finite time")
     k = int(round(t / dt))
     if abs(k * dt - t) > 1e-9:
         raise ValueError(f"{what}={t} is not on the {dt} s step grid")

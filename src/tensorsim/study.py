@@ -477,23 +477,28 @@ def timing_compare(
     dt: float = 0.01,
 ) -> list:
     """Median wall time per mode over ``repetitions`` identical runs
-    (plus one untimed warm-up), same integrator and step everywhere.
-    Model build time is excluded: models arrive prebuilt."""
+    (plus one untimed warm-up each), same integrator and step everywhere.
+    Each repetition runs every mode once, in the order given, so a change
+    in the host's load falls on all modes alike.  Model build time is
+    excluded: models arrive prebuilt."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    runs = [(replace(policy, mode=mode), None if mode == "force_full" else model_set)
+            for mode in modes]
+
+    def timed(p, ms):
+        t0 = time.perf_counter()
+        traj = sim.run_adaptive(sys, ms, scenario, p, dt)
+        return time.perf_counter() - t0, traj.n_steps
+
+    for p, ms in runs:
+        timed(p, ms)  # warm-up
+    laps = [[timed(p, ms) for p, ms in runs] for _ in range(repetitions)]
     rows = []
     n = sys.n_states
-    for mode in modes:
-        p = replace(policy, mode=mode)
-        ms = None if mode == "force_full" else model_set
-        sim.run_adaptive(sys, ms, scenario, p, dt)  # warm-up
-        times = []
-        steps = None
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            traj = sim.run_adaptive(sys, ms, scenario, p, dt)
-            times.append(time.perf_counter() - t0)
-            steps = traj.n_steps
+    for i, mode in enumerate(modes):
+        times = [lap[i][0] for lap in laps]
+        steps = laps[-1][i][1]
         if mode == "force_full":
             fl = count_flops_full(sys)
         elif mode == "force_linear":

@@ -32,7 +32,8 @@ the state count picks between the two enumerators.
 :class:`TaylorModel`.  A model set is built as one job per (level, order),
 run in worker processes (:func:`_build_models`), and inside a job the
 stencil chunks and the sparse ALS rank blocks run on threads
-(:func:`_thread_pool`); :func:`compress_taylor_terms` compresses given
+(:func:`_thread_pool`, sized once from the CPU count);
+:func:`compress_taylor_terms` compresses given
 terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
 kernel: an einsum over a dense tensor's nonzero slices
@@ -116,48 +117,22 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# In a worker of a model-set build: the count of the build's unfinished
-# (level, order) jobs, shared by its workers, and the worker count; set by
-# the pool's initializer (:func:`_join_build`).
-_build_share = None
 # the most threads one map has run on since :func:`_order_job` reset it
 _peak_threads = 1
 
 
-def _join_build(unfinished, workers: int) -> None:
-    global _build_share
-    _build_share = unfinished, workers
-
-
-def _free_cpus() -> int:
-    """The CPUs a map started now may use: every CPU of this process, or,
-    in a build worker, its share of those that no sibling job is using,
-    ``CPUs // min(workers, unfinished jobs)``.  So a worker runs one
-    thread while the build has at least as many jobs left as workers,
-    and more once siblings finish."""
-    cpus = _cpu_count()
-    if _build_share is None:
-        return cpus
-    unfinished, workers = _build_share
-    return max(1, cpus // max(1, min(workers, unfinished.value)))
-
-
 class _Threads:
-    """An open pool of at most ``size`` threads, made by :func:`_thread_pool`."""
+    """An open pool of ``size`` threads, made by :func:`_thread_pool`."""
 
     def __init__(self, executor, size: int):
         self.executor, self.size = executor, size
 
-    def lanes(self) -> int:
-        """The most items :meth:`map` may run at once now."""
-        return max(1, min(self.size, _free_cpus()))
-
     def map(self, fn, items) -> list:
-        """``[fn(item) for item in items]``, one thread per item; the
-        caller passes at most :meth:`lanes` items."""
+        """``[fn(item) for item in items]`` on the pool's threads, which
+        take the items in order as they come free."""
         global _peak_threads
         items = list(items)
-        _peak_threads = max(_peak_threads, len(items))
+        _peak_threads = max(_peak_threads, min(len(items), self.size))
         if len(items) <= 1 or self.executor is None:
             return [fn(item) for item in items]
         return list(self.executor.map(fn, items))
@@ -166,10 +141,9 @@ class _Threads:
 @contextlib.contextmanager
 def _thread_pool(most: int):
     """A :class:`_Threads` of ``min(most, CPUs)`` threads, the one place
-    that creates a thread pool.  A caller opens it once for all its maps
-    and asks :meth:`_Threads.lanes` before each, so a build worker takes
-    up a sibling's CPU as soon as it is free.  Threads start only when a
-    map runs more than one item, and are joined when the block exits.
+    that creates a thread pool.  The size is fixed when the pool opens; a
+    caller opens one for all its maps.  Threads start only when a map
+    runs more than one item, and are joined when the block exits.
     """
     size = max(1, min(most, _cpu_count()))
     if size == 1:
@@ -195,12 +169,12 @@ def _multiset_values(f_batch, x0, h, tuples, order):
     points runs the whole stencil in extended precision.
 
     The tuples go through ``f_batch`` in chunks of :data:`_STENCIL_CHUNK`,
-    one wave of chunks per free CPU at a time on a :func:`_thread_pool`.
-    Each chunk is one independent batch that writes its own rows, so the
-    thread count leaves the values' bytes alone.  The chunk size does
-    not: in double precision ``_rhs`` multiplies a whole batch by the
-    admittance matrix in one BLAS call, whose kernel may depend on the
-    row count.  With OpenBLAS on a 2-core x86-64 host, 256- and
+    all mapped at once on a :func:`_thread_pool` of ``min(chunks, CPUs)``
+    threads.  Each chunk is one independent batch that writes its own
+    rows, so the thread count leaves the values' bytes alone.  The chunk
+    size does not: in double precision ``_rhs`` multiplies a whole batch
+    by the admittance matrix in one BLAS call, whose kernel may depend on
+    the row count.  With OpenBLAS on a 2-core x86-64 host, 256- and
     512-tuple batches gave ``ring:33`` order-2 and order-3 values that
     differ from 4096-tuple ones by up to 3e-8, while 1024-tuple ones
     equal them at both orders.
@@ -227,12 +201,9 @@ def _multiset_values(f_batch, x0, h, tuples, order):
         denom = (2.0 ** order) * np.prod(hh, axis=1) * fact
         out[lo:lo + _STENCIL_CHUNK] = acc / denom[:, None]
 
-    lows = list(range(0, len(tuples), _STENCIL_CHUNK))
+    lows = range(0, len(tuples), _STENCIL_CHUNK)
     with _thread_pool(len(lows)) as pool:
-        while lows:
-            lanes = pool.lanes()
-            pool.map(chunk_values, lows[:lanes])
-            lows = lows[lanes:]
+        pool.map(chunk_values, lows)
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite entries in order-{order} derivatives")
     return out
@@ -418,7 +389,7 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None
     the work arrays are rank-major, ``(rank, count)``.
 
     On an open :func:`_thread_pool` (``pool``), each call splits the rank
-    into one column block per lane free at that call.  Every
+    into one column block per thread of the pool.  Every
     step above acts on one rank row at a time: the gathers, the
     elementwise products and the segment sums along the nonzero axis.  So
     each block's columns have the bytes of the unsplit kernel.  The blocks
@@ -471,7 +442,7 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None
     def mttkrp(factors, k):
         ft = [np.ascontiguousarray(f.T) for f in factors]
         rank = ft[0].shape[0]
-        count = min(pool.lanes(), rank)
+        count = min(pool.size, rank)
         blocks = [(rank * b // count, rank * (b + 1) // count) for b in range(count)]
         sums = pool.map(lambda block: block_sums(ft, factors, k, block), blocks)
         m = np.zeros((dims[k], rank))
@@ -680,23 +651,15 @@ def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
     """One (level, order) job: build the order's term and compress it.
     Returns the factors and the job's timings: the seconds of the stencil
     (the term) and of the ALS, the ALS iterations, and the most threads
-    one of its maps ran on (1 when it ran serially).  In a build worker
-    the job counts itself finished on return, freeing its CPUs for its
-    siblings' threads (:func:`_free_cpus`)."""
+    one of its maps ran on (1 when it ran serially)."""
     global _peak_threads
     _peak_threads = 1
-    try:
-        start = time.perf_counter()
-        term = _order_term(sys, order)
-        built = time.perf_counter()
-        f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
-        return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
-                   "als_iterations": len(f.fit_history), "threads": _peak_threads}
-    finally:
-        if _build_share is not None:
-            unfinished = _build_share[0]
-            with unfinished.get_lock():
-                unfinished.value -= 1
+    start = time.perf_counter()
+    term = _order_term(sys, order)
+    built = time.perf_counter()
+    f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
+    return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
+               "als_iterations": len(f.fit_history), "threads": _peak_threads}
 
 
 # BLAS thread counts, pinned to 1 for the build's workers
@@ -711,8 +674,8 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
 
     Each (level, order) job builds that order's term and compresses it;
     its stencil chunks and sparse ALS rank blocks run on threads
-    (:func:`_thread_pool`), in a worker only on CPUs that no sibling job
-    is using (:func:`_free_cpus`).
+    (:func:`_thread_pool`), each pool sized from the CPU count alone, so
+    a job depends on its arguments only.
     The jobs run in ``min(jobs, CPUs)`` worker processes, order 3 first
     since those take longest, while this process computes the Jacobians;
     with one usable CPU they run in process.  The workers are spawned
@@ -735,9 +698,7 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
         os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
         try:
             context = multiprocessing.get_context("spawn")
-            unfinished = context.Value("i", len(jobs))
-            with ProcessPoolExecutor(workers, mp_context=context, initializer=_join_build,
-                                     initargs=(unfinished, workers)) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 futures = [pool.submit(_attempt, _order_job, *a) for a in args]
                 a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
                 done = [f.result() for f in futures]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tensorsim import cases, cli, study
+from tensorsim import power_model as pm
 from tensorsim import taylor
 from tensorsim.tensor_ops import cp_decompose
 
@@ -130,6 +131,32 @@ class TestErrors:
                         "--mode", "force_full", "--dt", dt, "--out", tmp_path])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["message"] == "dt must be > 0"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t-end", "inf", "t_end=inf is not a finite time"),
+        ("--load-level", "nan", "load level must be finite, got nan"),
+        ("--angle-threshold", "nan", "angle threshold must be > 0"),
+        ("--norm-threshold", "nan", "norm threshold must be > 0"),
+    ], ids=["t_end", "load_level", "angle_threshold", "norm_threshold"])
+    def test_non_finite_input_exit_two(self, tmp_path, capsys, flag, value, message):
+        # these ended in a traceback (exit 1) or ran to the end (exit 0)
+        code = run_cli(["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+                        "--t-end", "0.3", "--mode", "force_full", flag, value, "--out", tmp_path])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message, "exit": 2}
+        assert not any(tmp_path.iterdir())
+
+    def test_network_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def singular(*args):
+            raise pm.NetworkError("singular elimination block")
+
+        monkeypatch.setattr(pm, "build_system", singular)
+        code = run_cli(["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+                        "--mode", "force_full", "--out", tmp_path])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NetworkError", "message": "singular elimination block", "exit": 3}
 
     @pytest.mark.parametrize("argv", [
         ["rank-search", "--fault-bus", "7", "--t-clear", "0.1", "--start-rank", "3",

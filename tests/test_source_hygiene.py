@@ -5,8 +5,9 @@ optional parameter of the library is set by some caller, every field of
 a library dataclass is read somewhere, only ``taylor`` reaches the
 derivative enumerators, one call site outside ``power_model`` builds a
 faulted network, two call the RK4 loop of one state, one creates a
-process pool, on the spawn start method, and one a thread pool, and no
-module reads ``/proc``.
+process pool, on the spawn start method and with no initializer, and one
+a thread pool, and no module reads ``/proc`` or makes state that
+processes share.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -166,6 +167,18 @@ def test_one_process_pool_site():
     methods = [ast.literal_eval(node.args[0]) for node in ast.walk(_parse("taylor"))
                if isinstance(node, ast.Call) and _callee(node) == "get_context"]
     assert methods == ["spawn"]
+    # each job is a function of its arguments alone: the pool runs no
+    # initializer in its workers, and no module makes state that processes
+    # share (positional arguments past the second are the initializer's)
+    pools = [node for node in ast.walk(_parse("taylor"))
+             if isinstance(node, ast.Call) and _callee(node) == "ProcessPoolExecutor"]
+    assert pools and all(len(node.args) <= 2 and not {k.arg for k in node.keywords}
+                         & {None, "initializer", "initargs"} for node in pools)
+    shared = sorted(f"{name}.py:{node.lineno}" for name in MODULES
+                    for node in ast.walk(_parse(name))
+                    if isinstance(node, ast.Call)
+                    and _callee(node) in {"Value", "Array", "RawValue", "RawArray", "Manager"})
+    assert not shared, f"state shared between processes made at {shared}"
     # and no process state that no artifact records, such as its thread
     # count, decides how a model set is built
     reads = sorted(f"{name}.py:{node.lineno}" for name in MODULES

@@ -411,6 +411,24 @@ class TestTiming:
         assert study.count_flops_hybrid(ring5_sys, 6, 5) == (
             study.count_flops_full(ring5_sys) + study.count_flops_reduced(n, 6, 5) + n)
 
+    def test_modes_interleave(self, wscc_sys, wscc_model_set, monkeypatch):
+        # one warm-up per mode, then each repetition runs every mode once,
+        # so a busy spell of the host does not fall on one mode alone
+        modes = []
+        run = sim.run_adaptive
+
+        def recorded(sys, ms, scenario, policy, dt):
+            modes.append(policy.mode)
+            return run(sys, ms, scenario, policy, dt)
+
+        monkeypatch.setattr(sim, "run_adaptive", recorded)
+        scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.2)
+        rows = study.timing_compare(wscc_sys, wscc_model_set, scn, sim.SwitchPolicy(),
+                                    modes=("force_full", "force_taylor"), repetitions=2)
+        assert modes == ["force_full", "force_taylor"] * 3
+        assert [(r.mode, len(r.times_s), r.steps) for r in rows] == [
+            ("force_full", 2, 20), ("force_taylor", 2, 20)]
+
     def test_repetition_floor(self, wscc_sys):
         scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.5)
         with pytest.raises(ValueError):

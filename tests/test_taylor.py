@@ -730,13 +730,16 @@ class TestThreads:
 
     @pytest.mark.parametrize("pools", [3], indirect=True)
     @pytest.mark.parametrize("order", [2, 3])
-    def test_stencil_values_keep_their_bytes(self, ring7_sys, small_chunks, pools, order):
+    def test_stencil_values_keep_their_bytes(self, ring7_sys, small_chunks, pools, order,
+                                             monkeypatch):
         tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, order)]
         h = taylor._FD_STEPS[order] * np.maximum(1.0, np.abs(ring7_sys.x0))
+        monkeypatch.setattr(taylor, "_peak_threads", 1)
         got = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
                                       tuples, order)
-        assert len(tuples) > 2 * self.CHUNK
-        assert pools == [3]
+        # every chunk goes to one pool of 3 threads, which queues the rest
+        assert len(tuples) > 3 * self.CHUNK
+        assert pools == [3] and taylor._peak_threads == 3
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(taylor, "_cpu_count", lambda: 1)
             want = taylor._multiset_values(taylor._prefault_batch(ring7_sys), ring7_sys.x0, h,
@@ -776,73 +779,18 @@ class TestThreads:
         for job in timings.values():
             assert job["threads"] == 1 and job["stencil_s"] > 0 and job["als_s"] > 0
 
-    @pytest.mark.parametrize("pools", [2], indirect=True)
-    def test_build_worker_threads_only_on_free_cpus(self, ring7_sys, small_chunks, pools,
-                                                    monkeypatch):
-        # a worker of a 2-worker build on 2 CPUs runs serially while a
-        # sibling job is unfinished, and on both CPUs once it is the last;
-        # each finished job counts itself off, and the bytes stay the same
-        unfinished = multiprocessing.Value("i", 2)
-        monkeypatch.setattr(taylor, "_build_share", (unfinished, 2))
-        opts = dict(max_iters=4)
-        first, first_timings = taylor._order_job(ring7_sys, 3, (3, 2), 0, opts)
-        assert first_timings["threads"] == 1 and unfinished.value == 1
-        last, last_timings = taylor._order_job(ring7_sys, 3, (3, 2), 0, opts)
-        assert last_timings["threads"] == 2 and unfinished.value == 0
-        assert all(_same_bytes(a, b) for a, b in zip(
-            [first.weights, first.fit_history, *first.factors],
-            [last.weights, last.fit_history, *last.factors]))
-
     @pytest.mark.parametrize("workers", [2], indirect=True)
-    def test_every_pooled_job_counts_itself_off(self, ring7_sys, workers, monkeypatch):
-        # the workers share the count of unfinished jobs; each job, a failed
-        # one too, takes itself off it, so it ends at zero
-        shares = []
-
-        class Captured(taylor.ProcessPoolExecutor):
-            def __init__(self, *args, initargs=(), **kwargs):
-                shares.append(initargs[0])
-                super().__init__(*args, initargs=initargs, **kwargs)
-
-        # a closed voltage loop fails both structured terms inside their jobs
+    def test_closed_loop_level_fails_in_its_worker(self, ring7_sys, workers):
+        # a closed voltage loop fails both structured terms inside their
+        # spawned jobs; the level reports it and the other level builds
         closed = copy.copy(ring7_sys)
         closed._p = {**ring7_sys._p, "ka": ring7_sys._p["ka"] + 1.0}
-        monkeypatch.setattr(taylor, "ProcessPoolExecutor", Captured)
         models, _ = taylor._build_models({1.0: ring7_sys, 1.1: closed}, (3, 2), 0,
                                          dict(max_iters=2))
         assert isinstance(models[1.0], taylor.TaylorModel)
         assert isinstance(models[1.1], taylor.ModelBuildError)
         assert "open exciter voltage loops" in str(models[1.1])
-        assert len(shares) == 1 and shares[0].value == 0
         assert multiprocessing.active_children() == []
-
-    def test_stencil_takes_up_a_freed_cpu(self, ring7_sys, small_chunks, monkeypatch):
-        # a sibling finishes while the stencil runs: the later waves of
-        # chunks run two at a time on the pool, and the values keep their bytes
-        monkeypatch.setattr(taylor, "_cpu_count", lambda: 2)
-        tuples = [tup for tup, _ in taylor._structured_tuples(ring7_sys, 3)]
-        h = taylor._FD_STEPS[3] * np.maximum(1.0, np.abs(ring7_sys.x0))
-        batch = taylor._prefault_batch(ring7_sys)
-        want = taylor._multiset_values(batch, ring7_sys.x0, h, tuples, 3)
-        unfinished = multiprocessing.Value("i", 2)
-        monkeypatch.setattr(taylor, "_build_share", (unfinished, 2))
-        waves = []
-
-        def f_batch(x):
-            waves.append((unfinished.value, threading.get_ident()))
-            unfinished.value = 1
-            return batch(x)
-
-        monkeypatch.setattr(taylor, "_peak_threads", 1)
-        got = taylor._multiset_values(f_batch, ring7_sys.x0, h, tuples, 3)
-        assert _same_bytes(got, want)
-        # the first chunk ran alone, in this thread; later waves of two on
-        # the pool (a last wave of one runs here again)
-        signs = 2 ** 3
-        main = threading.get_ident()
-        assert waves[0][0] == 2 and {ident for _, ident in waves[:signs]} == {main}
-        assert {ident for _, ident in waves[signs:]} - {main}
-        assert taylor._peak_threads == 2
 
 
 class TestRefusedBeforeWork:

@@ -21,6 +21,10 @@ machine:
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
     force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
     model set;
+  - one model build of six structured (level, order) jobs, more than the
+    build's workers and more than any CLI command starts: ``ring:33``
+    seeds 7, 8 and 9 at level 1.0 and ranks (16, 12), in one
+    ``taylor._build_models`` call (an observation);
 * the wall time of the tier-1 suite, once per side, with its summary
   line and pytest's ``-rf`` line of each failed test.
 
@@ -83,6 +87,17 @@ for name, args in (("search.ring33.bus1.force_full_s", (ring, None, "force_full"
     out[name[:-2] + "_stable_steps"] = res.stable_steps
 print(json.dumps(out))
 """
+# run in a side's tree: the six-job structured build
+SIX_JOBS = r"""
+import json, time
+from tensorsim import cases, power_model as pm, taylor as ty
+systems = {s: pm.build_system(cases.synthetic_ring_spec(33, seed=s), 1.0) for s in (7, 8, 9)}
+t = time.perf_counter()
+models, _ = ty._build_models(systems, (16, 12), 0, None)
+elapsed = time.perf_counter() - t
+assert all(isinstance(m, ty.TaylorModel) for m in models.values()), models
+print(json.dumps({"build.ring33_six_jobs_s": elapsed}))
+"""
 
 
 def _git(*args) -> str:
@@ -135,9 +150,10 @@ def _cli(tree: Path, work: Path) -> dict:
     return out
 
 
-def _searches(tree: Path) -> dict:
+def _script(tree: Path, code: str) -> dict:
+    """The JSON object that ``code`` prints last, run in ``tree``."""
     env = {**ENV, "PYTHONPATH": str(tree / "src")}
-    return json.loads(_run([sys.executable, "-c", SEARCHES], tree, env).stdout.strip().splitlines()[-1])
+    return json.loads(_run([sys.executable, "-c", code], tree, env).stdout.strip().splitlines()[-1])
 
 
 def _tier1(tree: Path) -> dict:
@@ -218,7 +234,7 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
                 values = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
-                          **_searches(trees[side])}
+                          **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS)}
                 runs.append({"side": side, "pair": k, "values": values})
                 print(f"pair {k} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
         for side in SIDES:
