@@ -170,6 +170,9 @@ class SystemSpec:
         return {b.id: i for i, b in enumerate(self.buses)}
 
 
+# what converting a malformed field to int or float raises
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+
 _MACHINE_KEYS = {
     "h": "h", "d": "d", "xd": "xd", "xq": "xq", "xdp": "xdp", "xqp": "xqp",
     "td0p": "td0p", "tq0p": "tq0p", "ka": "ka", "ta": "ta", "ke": "ke",
@@ -189,6 +192,12 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
     def fail(msg):
         raise SystemDataError(f"{source}: {msg}")
 
+    def records(section):
+        recs = raw[section]
+        if not (isinstance(recs, list) and all(isinstance(rec, dict) for rec in recs)):
+            fail(f"section '{section}' must be a list of objects")
+        return recs
+
     if not isinstance(raw, dict):
         fail("top level must be an object")
     for section in ("base_mva", "buses", "branches", "machines", "areas"):
@@ -197,7 +206,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
 
     buses = []
     seen = set()
-    for i, rec in enumerate(raw["buses"]):
+    for i, rec in enumerate(records("buses")):
         try:
             bus = Bus(
                 id=int(rec["id"]),
@@ -208,7 +217,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
                 gs=float(rec.get("gs", 0.0)),
                 bs=float(rec.get("bs", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             fail(f"buses[{i}]: {exc}")
         if bus.kind not in ("slack", "PV", "PQ"):
             fail(f"buses[{i}]: unknown type '{bus.kind}'")
@@ -223,7 +232,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
         fail(f"need exactly one slack bus, found {n_slack}")
 
     branches = []
-    for i, rec in enumerate(raw["branches"]):
+    for i, rec in enumerate(records("branches")):
         try:
             br = Branch(
                 from_bus=int(rec["from"]),
@@ -233,7 +242,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
                 b=float(rec.get("b", 0.0)),
                 tap=float(rec.get("tap", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             fail(f"branches[{i}]: {exc}")
         for end in (br.from_bus, br.to_bus):
             if end not in seen:
@@ -247,13 +256,13 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
     machines = []
     mach_ids = set()
     mach_buses = set()
-    for i, rec in enumerate(raw["machines"]):
+    for i, rec in enumerate(records("machines")):
         try:
             kwargs = {dst: float(rec[src]) for src, dst in _MACHINE_KEYS.items() if src in rec}
             mach = MachineParams(id=str(rec["id"]), bus=int(rec["bus"]), **kwargs)
         except SystemDataError as exc:
             fail(f"machines[{i}]: {exc}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             fail(f"machines[{i}]: missing or bad field {exc}")
         if mach.id in mach_ids:
             fail(f"machines[{i}]: duplicate machine id '{mach.id}'")
@@ -273,6 +282,11 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
             fail(f"machine {m.id}: terminal bus {m.bus} must be slack or PV")
 
     areas = raw["areas"]
+    if not isinstance(areas, dict):
+        fail("section 'areas' must be an object")
+    for side in ("study", "external"):
+        if not isinstance(areas.get(side, []), list):
+            fail(f"areas.{side} must be a list of machine ids")
     study = tuple(str(g) for g in areas.get("study", ()))
     external = tuple(str(g) for g in areas.get("external", ()))
     if set(study) & set(external):
@@ -282,7 +296,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
 
     try:
         base = float(raw["base_mva"])
-    except (TypeError, ValueError):
+    except _BAD_FIELD:
         fail("base_mva must be a number")
     if base <= 0:
         fail("base_mva must be > 0")

@@ -205,12 +205,17 @@ def _march_lanes(x, ids, ends, dt: float, rhs, stop, report, alone):
         report({ids[0]: alone(ids[0], t, x[0, 0])})
 
 
+def _check_dt(dt: float) -> None:
+    """Refuse a step that is not a finite number above 0 (NaN included)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+
+
 def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
     """Classical fixed-step RK4 of the pure right-hand side ``rhs`` with
     every step recorded; a blow-up truncates the trajectory and flags it
     (see :func:`_march`)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    _check_dt(dt)
     t0, t1 = t_span
     if t1 < t0:
         raise ValueError(f"t_span ({t0}, {t1}) ends before it starts")
@@ -275,8 +280,7 @@ def _grid_step(t: float, dt: float, what: str) -> int:
 def _scenario_steps(sys: pm.SystemModel, scenario: Scenario, dt: float):
     """The fault-on, clearing and end steps of a scenario on the ``dt``
     grid, checked against the system and against each other."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    _check_dt(dt)
     if abs(sys.load_level - scenario.load_level) > 1e-12:
         raise ValueError(
             f"system solved at load level {sys.load_level}, scenario wants "
@@ -476,8 +480,7 @@ class ClearingProbes:
     def __init__(self, sys: pm.SystemModel, model_set: ModelSet | None, policy: SwitchPolicy,
                  fault_bus: int, dt: float, t_end: float, max_duration: float,
                  instability_stop_deg: float):
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        _check_dt(dt)
         self.sys, self.dt = sys, dt
         self.k_end = _grid_step(t_end, dt, "t_end")
         # no question of the search clears later than its cap

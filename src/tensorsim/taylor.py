@@ -36,7 +36,8 @@ stencil chunks and the sparse ALS rank blocks run on threads
 :func:`compress_taylor_terms` compresses given
 terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
-kernel: an einsum over a dense tensor's nonzero slices
+kernel: a contraction of a dense tensor's nonzero slices, planned once
+per ALS run with the bytes of ``np.einsum``
 (:func:`tensorsim.tensor_ops.cp_decompose`), or, on the coordinate list,
 a gather/segment-sum compressed to its distinct trailing column tuples,
 so that the factor rows of each tuple are multiplied once, not once per
@@ -51,9 +52,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import logging
 import multiprocessing
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -93,6 +96,8 @@ __all__ = [
 ]
 
 DENSE_STATE_LIMIT = 60  # raw n^3 / n^4 tensors allowed up to this many states
+
+_log = logging.getLogger(__name__)
 
 # relative central-difference step per derivative order
 _FD_STEPS = {1: 1e-4, 2: 1e-4, 3: 1e-3}
@@ -677,20 +682,29 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
     (:func:`_thread_pool`), each pool sized from the CPU count alone, so
     a job depends on its arguments only.
     The jobs run in ``min(jobs, CPUs)`` worker processes, order 3 first
-    since those take longest, while this process computes the Jacobians;
-    with one usable CPU they run in process.  The workers are spawned
-    with BLAS on one thread: the variables of :data:`_BLAS_VARS` are 1 in
-    ``os.environ`` while the pool lives, and restored after it.  A fork
-    server would keep the environment of whichever pool started it
-    first.  On 2 cores a spawned pool of two took 0.34-0.37 s to start
-    and join, against 13-19 ms forked, and spawning re-imports the
-    caller's ``__main__``.  Every job is
-    deterministic and owns its seed, so the models have the bytes of an
-    in-process build with BLAS on one thread, whatever the caller's."""
+    since those take longest, while this process computes the Jacobians.
+    They run in process with one usable CPU, and when ``__main__`` names
+    a file that does not exist, which a spawned worker could not
+    re-import: a script that ``python -`` reads from standard input is
+    ``<stdin>``.  In process, their fits follow the caller's BLAS
+    threads.  The workers are spawned with BLAS on one thread: the
+    variables of :data:`_BLAS_VARS` are 1 in ``os.environ`` while the
+    pool lives, and restored after it.  A fork server would keep the
+    environment of whichever pool started it first.  On 2 cores a
+    spawned pool of two took 0.34-0.37 s to start and join, against
+    13-19 ms forked, and spawning re-imports the caller's ``__main__``.
+    Every job is deterministic and owns its seed, so the models have the
+    bytes of an in-process build with BLAS on one thread, whatever the
+    caller's.
+
+    Each (level, order) whose ALS stopped at its iteration cap
+    (``converged=False``) is logged as one WARNING, with its iterations
+    and fit."""
     jobs = [(lv, order) for order in (3, 2) for lv in systems]
     args = [(systems[lv], order, ranks, seed, cp_options) for lv, order in jobs]
     workers = min(len(jobs), _cpu_count())
-    if workers <= 1:
+    main = getattr(sys.modules["__main__"], "__file__", None)
+    if workers <= 1 or (main is not None and not os.path.isfile(main)):
         a1 = {lv: _attempt(jacobian, s) for lv, s in systems.items()}
         done = [_attempt(_order_job, *a) for a in args]
     else:
@@ -709,6 +723,11 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
                 else:
                     os.environ[k] = v
     results = dict(zip(jobs, done))
+    for (lv, order), (job, _) in sorted(results.items()):
+        if job is not None and not job[0].converged:
+            f = job[0]
+            _log.warning("level %s order %d: ALS did not converge in %d iterations (fit %.6g)",
+                         lv, order, len(f.fit_history), f.fit)
     out, timings = {}, {}
     for lv, sys_l in systems.items():
         parts = [a1[lv], results[lv, 2], results[lv, 3]]

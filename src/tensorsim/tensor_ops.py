@@ -6,7 +6,10 @@ decomposition computed by alternating least squares.  The one ALS loop,
 :func:`cp_als`, serves the dense kernel here and the sparse coordinate
 kernel in :mod:`tensorsim.taylor` alike.  The dense kernel, inside
 :func:`cp_decompose`, contracts only the tensor's nonzero slices, since
-a zero slice adds nothing to an MTTKRP.
+a zero slice adds nothing to an MTTKRP.  Each mode's contraction is
+planned once per decomposition (:func:`_einsum_plan`): the calls
+``np.einsum`` makes on the greedy contraction path, with its bytes, but
+without re-planning them on every MTTKRP.
 
 Storage convention
 ------------------
@@ -20,6 +23,8 @@ unfolding matches the reverse-mode Khatri-Rao factor ordering used by
 
 from __future__ import annotations
 
+import functools
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -334,6 +339,179 @@ def cp_als(
     )
 
 
+def _einsum_steps(expr: str, path, sizes: dict) -> list:
+    """The steps of ``np.einsum(expr, ..., optimize=path)``: per entry of
+    ``path``, the operand positions it takes (highest first, the order in
+    which numpy pops them) and its subscripts.  An intermediate keeps the
+    indices that a later step or the output needs, sorted by size, then
+    letter, as ``np.einsum_path`` orders them; the last step writes the
+    output."""
+    lhs, out = expr.split("->")
+    terms = lhs.split(",")
+    contractions = path[1:]  # path[0] is the tag "einsum_path"
+    steps = []
+    for n, inds in enumerate(contractions):
+        inds = sorted(inds, reverse=True)
+        taken = [terms.pop(i) for i in inds]
+        if n == len(contractions) - 1:
+            result = out
+        else:
+            needed = set(out).union(*terms)
+            result = "".join(sorted(set("".join(taken)) & needed, key=lambda ix: (sizes[ix], ix)))
+        terms.append(result)
+        steps.append((inds, ",".join(taken) + "->" + result))
+    return steps
+
+
+def _pairwise_rule(eq: str, shape_a, shape_b) -> tuple:
+    """numpy's rule for a two-operand einsum step (``bmm_einsum`` in
+    ``numpy/_core/einsumfunc.py``), written out: the single-operand einsum
+    and the reshape that prepare each operand (None where none is needed),
+    whether the product is an elementwise ``np.multiply`` (no contracted
+    index) or an ``np.matmul``, and the reshape and transpose of the
+    matmul's result.  Indices of size 1 are left out of the matmul's
+    groups and come back as leading axes of the result."""
+    lhs, out = eq.split("->")
+    a_term, b_term = lhs.split(",")
+    sizes, singletons, left, right = {}, set(), {}, {}
+    for ix, n in zip(a_term, shape_a):
+        if n == 1:
+            singletons.add(ix)
+        else:
+            sizes[ix], left[ix] = n, True
+    for ix, n in zip(b_term, shape_b):
+        if n == 1:
+            if ix not in left:
+                singletons.add(ix)
+        else:
+            singletons.discard(ix)
+            sizes[ix], right[ix] = n, True
+    bat, con, a_keep = [], [], []
+    for ix in left:
+        if right.pop(ix, False):
+            (bat if ix in out else con).append(ix)
+        elif ix in out:
+            a_keep.append(ix)
+    b_keep = [ix for ix in right if ix in out]
+
+    def einsum_to(term, want):
+        return None if want == term else f"{term}->{want}"
+
+    if not con:
+        dims_a = [shape_a[a_term.index(ix)] if ix in a_term else 1 for ix in out]
+        dims_b = [shape_b[b_term.index(ix)] if ix in b_term else 1 for ix in out]
+        return (einsum_to(a_term, "".join(ix for ix in out if ix in a_term)), dims_a,
+                einsum_to(b_term, "".join(ix for ix in out if ix in b_term)), dims_b,
+                True, None, None)
+
+    def fused(groups):
+        if all(len(g) == 1 for g in groups):
+            return None
+        return tuple(math.prod(sizes[ix] for ix in g) for g in groups)
+
+    groups = (bat,) if bat else ()
+    ones = [ix for ix in out if ix in singletons]
+    shape_ab = None
+    if any(len(g) != 1 for g in groups + (a_keep, b_keep)) or ones:
+        shape_ab = (1,) * len(ones) + tuple(sizes[ix] for ix in bat + a_keep + b_keep)
+    produced = "".join(ones + bat + a_keep + b_keep)
+    perm_ab = None if produced == out else tuple(produced.index(ix) for ix in out)
+    return (einsum_to(a_term, "".join(bat + a_keep + con)), fused(groups + (a_keep, con)),
+            einsum_to(b_term, "".join(bat + con + b_keep)), fused(groups + (con, b_keep)),
+            False, shape_ab, perm_ab)
+
+
+def _prepare(x, eq, shape):
+    if eq is not None:
+        x = np.einsum(eq, x)
+    return x if shape is None else np.reshape(x, shape)
+
+
+def _pairwise_step(eq: str, shape_a, shape_b, fixed):
+    """The two-operand step ``eq`` as a function of its operands: the
+    preparations and the one product of :func:`_pairwise_rule`.  Where
+    ``fixed`` holds an operand instead of None, its prepared form is built
+    here, once, and the step ignores what it is passed in that place."""
+    eq_a, to_a, eq_b, to_b, multiply, shape_ab, perm_ab = _pairwise_rule(eq, shape_a, shape_b)
+    ready_a, ready_b = (None if x is None else _prepare(x, e, s)
+                        for x, e, s in zip(fixed, (eq_a, eq_b), (to_a, to_b)))
+
+    def step(a, b):
+        a = _prepare(a, eq_a, to_a) if ready_a is None else ready_a
+        b = _prepare(b, eq_b, to_b) if ready_b is None else ready_b
+        if multiply:
+            return np.multiply(a, b)
+        ab = np.matmul(a, b)
+        if shape_ab is not None:
+            ab = np.reshape(ab, shape_ab)
+        return ab if perm_ab is None else ab.transpose(perm_ab)
+
+    return step
+
+
+def _einsum_plan(expr: str, path, core: np.ndarray, shapes):
+    """``np.einsum(expr, core, *ops, optimize=path)`` as a fixed plan: a
+    function of ``ops``, whose shapes are ``shapes``, with the bytes of that
+    call.
+
+    ``np.einsum`` re-parses the subscripts and rebuilds its contraction list
+    in Python on every call; the plan does that once.  A step of two
+    operands is a :func:`_pairwise_step`; a step of more runs
+    ``np.einsum(step, *operands, optimize=False)``, the call ``np.einsum``
+    makes.  ``core`` is fixed, so its prepared form is built here, once.
+    """
+    sizes = {}
+    for term, shape in zip(expr.split("->")[0].split(","), [core.shape, *shapes]):
+        sizes.update(zip(term, shape))
+    fixed = [core] + [None] * len(shapes)  # each operand, where it is fixed
+    plan = []
+    for inds, eq in _einsum_steps(expr, path, sizes):
+        taken = [fixed.pop(i) for i in inds]
+        if len(inds) == 2:
+            a_term, b_term = eq.split("->")[0].split(",")
+            step = _pairwise_step(eq, [sizes[ix] for ix in a_term],
+                                  [sizes[ix] for ix in b_term], taken)
+        else:
+            step = functools.partial(np.einsum, eq, optimize=False)
+        fixed.append(None)
+        plan.append((inds, step))
+
+    def run(*ops):
+        ops = [core, *ops]
+        for inds, step in plan:
+            ops.append(step(*[ops.pop(i) for i in inds]))
+        return ops[0]
+
+    return run
+
+
+def _support_core(a: np.ndarray):
+    """The support of each mode of ``a`` (the indices whose slice holds a
+    nonzero entry) and the sub-tensor on the supports."""
+    d = a.ndim
+    support = [
+        np.flatnonzero(np.any(a != 0, axis=tuple(j for j in range(d) if j != k)))
+        for k in range(d)
+    ]
+    return support, a[np.ix_(*support)]
+
+
+def _mttkrp_plans(core: np.ndarray, rank: int) -> list:
+    """Per mode ``k`` of ``core``: the other modes, the einsum of the
+    mode-``k`` MTTKRP against their factor rows, its contraction path
+    (``np.einsum_path``, greedy) and its :func:`_einsum_plan`."""
+    d = core.ndim
+    letters = string.ascii_lowercase[:d]
+    plans = []
+    for k in range(d):
+        others = [j for j in range(d) if j != k]
+        expr = ",".join([letters] + [letters[j] + "z" for j in others]) + "->" + letters[k] + "z"
+        shapes = [(core.shape[j], rank) for j in others]
+        path = np.einsum_path(expr, core, *(np.empty(s) for s in shapes), optimize=True)[0]
+        plans.append((others, expr, path, _einsum_plan(expr, path, core, shapes)))
+    return plans
+
+
 def cp_decompose(
     t,
     rank: int,
@@ -349,35 +527,22 @@ def cp_decompose(
 
     The MTTKRP runs on the tensor's support only: the support of mode
     ``k`` is the set of indices whose slice holds a nonzero entry, and a
-    zero slice adds nothing to any MTTKRP.  The einsum contracts the
-    sub-tensor on the supports against the matching factor rows, with a
-    contraction path planned once per mode, and the result is scattered
-    back into the full ``(dims[k], rank)`` row space; rows off the
-    support stay exactly zero.
+    zero slice adds nothing to any MTTKRP.  Each mode's MTTKRP contracts
+    the sub-tensor on the supports against the matching factor rows by a
+    plan made once per call (:func:`_mttkrp_plans`): the steps that
+    ``np.einsum`` takes on the greedy contraction path, with the same
+    bytes, and the sub-tensor's prepared operand built once.  The result
+    is scattered back into the full ``(dims[k], rank)`` row space; rows
+    off the support stay exactly zero.
     """
     t = _as_tensor(t)
-    a = t.array
-    d = t.ndim
-    support = [
-        np.flatnonzero(np.any(a != 0, axis=tuple(j for j in range(d) if j != k)))
-        for k in range(d)
-    ]
-    core = a[np.ix_(*support)]
-    letters = string.ascii_lowercase[:d]
-    plans = []
-    for k in range(d):
-        others = [j for j in range(d) if j != k]
-        expr = ",".join([letters] + [letters[j] + "z" for j in others]) + "->" + letters[k] + "z"
-        shapes = [np.empty((support[j].size, rank)) for j in others]
-        path = np.einsum_path(expr, core, *shapes, optimize=True)[0]
-        plans.append((expr, others, path))
+    support, core = _support_core(t.array)
+    plans = _mttkrp_plans(core, rank)
 
     def support_mttkrp(factors, k):
-        expr, others, path = plans[k]
+        others, _, _, plan = plans[k]
         m = np.zeros((t.dims[k], rank))
-        m[support[k]] = np.einsum(
-            expr, core, *(factors[j][support[j]] for j in others), optimize=path
-        )
+        m[support[k]] = plan(*(factors[j][support[j]] for j in others))
         return m
 
     return cp_als(

@@ -130,14 +130,17 @@ class TestErrors:
         code = run_cli([command, "--system", "wscc9", "--fault-bus", "7", *clear,
                         "--mode", "force_full", "--dt", dt, "--out", tmp_path])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["message"] == "dt must be > 0"
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == f"dt must be > 0 and finite, got {float(dt)}"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--t-end", "inf", "t_end=inf is not a finite time"),
         ("--load-level", "nan", "load level must be finite, got nan"),
         ("--angle-threshold", "nan", "angle threshold must be > 0"),
         ("--norm-threshold", "nan", "norm threshold must be > 0"),
-    ], ids=["t_end", "load_level", "angle_threshold", "norm_threshold"])
+        ("--dt", "inf", "dt must be > 0 and finite, got inf"),
+        ("--dt", "nan", "dt must be > 0 and finite, got nan"),
+    ], ids=["t_end", "load_level", "angle_threshold", "norm_threshold", "dt_inf", "dt_nan"])
     def test_non_finite_input_exit_two(self, tmp_path, capsys, flag, value, message):
         # these ended in a traceback (exit 1) or ran to the end (exit 0)
         code = run_cli(["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from tensorsim import cases
 from tensorsim import power_model as pm
@@ -79,6 +82,49 @@ class TestLoadSystem:
         with pytest.raises(pm.SystemDataError, match="inertia"):
             pm.MachineParams(id="B", bus=1, h=0, d=0, xd=1.0, xq=0.8,
                              xdp=0.2, xqp=0.3, td0p=6, tq0p=0.8)
+
+
+# any JSON value: what a system file may hold in place of a field
+_JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats() | hs.text(max_size=4),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def ring5_raw():
+    return cases.synthetic_ring(5)
+
+
+class TestParseSystemInput:
+    @pytest.mark.parametrize("section, value", [("buses", 5), ("machines", None),
+                                                ("branches", "x"), ("areas", [])])
+    def test_section_of_wrong_type(self, ring5_raw, section, value):
+        raw = {**ring5_raw, section: value}
+        with pytest.raises(pm.SystemDataError, match=section):
+            pm.parse_system(raw, source="ring5")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=hs.data())
+    def test_raises_only_system_data_error(self, ring5_raw, data):
+        # replace (or, in an object, delete) one value at any depth of the
+        # ring's sections; the parse either succeeds or says what is wrong
+        raw = copy.deepcopy(ring5_raw)
+        node, key = raw, data.draw(hs.sampled_from(sorted(raw)))
+        while isinstance(node[key], (dict, list)) and node[key] and data.draw(hs.booleans()):
+            node = node[key]
+            key = data.draw(hs.sampled_from(sorted(node)) if isinstance(node, dict)
+                            else hs.integers(0, len(node) - 1))
+        if isinstance(node, dict) and data.draw(hs.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON)
+        try:
+            pm.parse_system(raw, source="ring5")
+        except pm.SystemDataError:
+            pass
 
 
 class TestPowerFlow:

@@ -242,7 +242,7 @@ class TestRunAdaptive:
         with pytest.raises(ValueError, match="grid"):
             sim.run_adaptive(wscc_sys, None, scn, pol)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
     def test_bad_dt_rejected(self, wscc_sys, dt):
         pol = sim.SwitchPolicy(mode="force_full")
         scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=1.0)

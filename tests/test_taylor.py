@@ -1,5 +1,8 @@
 import copy
 import functools
+import hashlib
+import importlib
+import logging
 import math
 import multiprocessing
 import os
@@ -14,7 +17,7 @@ import pytest
 
 from tensorsim import cases
 from tensorsim import power_model as pm
-from tensorsim import taylor
+from tensorsim import taylor, tensor_ops
 from tensorsim.tensor_ops import (
     Tensor, cp_als, cp_decompose, cp_exact, cp_reconstruct, kron, matricize_mode1,
     mode_k_product,
@@ -433,6 +436,61 @@ class TestDenseKernel:
             assert np.max(np.abs(x - y)) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def dense_terms(wscc_terms, ring5_sys):
+    """The dense order-2 and order-3 terms, by system."""
+    return {"wscc9": wscc_terms[1:],
+            "ring5": tuple(taylor.taylor_tensors(ring5_sys, order) for order in (2, 3))}
+
+
+class TestPlannedMttkrp:
+    @pytest.mark.parametrize("case", ["wscc9", "ring5"])
+    @pytest.mark.parametrize("order, rank", [(2, 30), (3, 36)])
+    def test_plan_has_the_einsum_bytes(self, dense_terms, case, order, rank):
+        t = dense_terms[case][order - 2]
+        support, core = tensor_ops._support_core(t.array)
+        plans = tensor_ops._mttkrp_plans(core, rank)
+        rng = np.random.default_rng(order)
+        for others, expr, path, plan in plans:
+            rows = [rng.uniform(size=(core.shape[j], rank)) for j in others]
+            want = np.einsum(expr, core, *rows, optimize=path)
+            got = plan(*rows)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), expr
+
+        def einsum_mttkrp(factors, k):
+            others, expr, path, _ = plans[k]
+            m = np.zeros((t.dims[k], rank))
+            m[support[k]] = np.einsum(expr, core, *(factors[j][support[j]] for j in others),
+                                      optimize=path)
+            return m
+
+        opts = dict(max_iters=20, restarts=2, fit_tolerance=0.0, seed=5)
+        got = cp_decompose(t, rank, **opts)
+        want = cp_als(t.dims, t.norm(), einsum_mttkrp, rank, **opts)
+        assert len(got.fit_history) == 20
+        assert (got.fit, got.converged) == (want.fit, want.converged)
+        for a, b in zip([got.weights, got.fit_history, *got.factors],
+                        [want.weights, want.fit_history, *want.factors]):
+            assert _same_bytes(a, b)
+
+    def test_contraction_path_planned_once_per_mode(self, wscc_terms, monkeypatch):
+        # np.einsum(..., optimize=path) re-runs einsum_path on every call
+        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
+        real, calls = np.einsum_path, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counted)
+        monkeypatch.setattr(einsumfunc, "einsum_path", counted)
+        t3 = wscc_terms[2]
+        for iters in (1, 30):
+            calls.clear()
+            cp_decompose(t3, 4, max_iters=iters, restarts=2, fit_tolerance=0.0)
+            assert 0 < len(calls) <= 2 * t3.ndim, iters
+
+
 class TestStructuredPath:
     @pytest.mark.parametrize("order", [2, 3])
     def test_matches_dense_on_open_loop_system(self, ring5_sys, order):
@@ -701,6 +759,56 @@ class TestJobRunner:
                                cp_options=dict(max_iters=2))
         assert {k: os.environ.get(k) for k in taylor._BLAS_VARS} == want
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_unconverged_als_warns(self, caplog, capsys, wscc_sys, workers):
+        # a 2-iteration cap stops both orders short; a tolerance of 1 stops
+        # them at their second iteration, converged
+        caplog.set_level(logging.WARNING, logger="tensorsim")
+        ms = taylor.build_model_set(wscc_sys, levels=(0.8, 1.0), ranks=(2, 2),
+                                    cp_options=dict(max_iters=2, fit_tolerance=0.0))
+        warned = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert warned == [
+            ("tensorsim.taylor", logging.WARNING,
+             f"level {lv} order {order}: ALS did not converge in 2 iterations "
+             f"(fit {getattr(ms.models[lv], f'a{order}').fit:.6g})")
+            for lv in (0.8, 1.0) for order in (2, 3)]
+        caplog.clear()
+        taylor.build_model_set(wscc_sys, levels=(1.0,), ranks=(2, 2),
+                               cp_options=dict(max_iters=2, fit_tolerance=1.0))
+        assert caplog.records == []
+        assert capsys.readouterr().out == ""
+
+
+# run as ``python -``: a dense build whose ALS stops short, printing a
+# digest of the model's arrays
+_STDIN_BUILD = """
+import hashlib
+from tensorsim import cases, power_model as pm, taylor
+sys_m = pm.build_system(cases.synthetic_ring_spec(3), 1.0)
+model = taylor.build_model_set(sys_m, levels=(1.0,), ranks=(3, 2),
+                               cp_options=dict(max_iters=4)).models[1.0]
+arrays = [model.x0, model.a1] + [a for f in (model.a2, model.a3)
+                                 for a in (f.weights, *f.factors, f.fit_history)]
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_script_on_standard_input_builds(workers):
+    # spawn cannot re-import <stdin>, so the build runs in process, here
+    # with BLAS on one thread as a pooled build's workers run; the
+    # unconverged ALS warns to no handler, so nothing reaches stderr
+    proc = subprocess.run([sys.executable, "-"], input=_STDIN_BUILD, env=_blas_env(1),
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    sys_m = pm.build_system(cases.synthetic_ring_spec(3), 1.0)
+    model = taylor.build_model_set(sys_m, levels=(1.0,), ranks=(3, 2),
+                                   cp_options=dict(max_iters=4)).models[1.0]
+    assert not model.a3.converged
+    want = hashlib.sha256(b"".join(a.tobytes() for a in _model_arrays(model))).hexdigest()
+    assert proc.stdout.split() == [want]
+
 
 @pytest.fixture
 def pools(request, monkeypatch):

@@ -20,7 +20,9 @@ machine:
     shell (observations beside the pinned timings, not claims);
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
     force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
-    model set;
+    model set, whose build time and summed ALS seconds per order (each
+    job's ``als_s`` in ``ModelSet.timings``, measured in its worker) are
+    recorded beside it as observations;
   - one model build of six structured (level, order) jobs, more than the
     build's workers and more than any CLI command starts: ``ring:33``
     seeds 7, 8 and 9 at level 1.0 and ranks (16, 12), in one
@@ -74,9 +76,13 @@ import json, time
 from tensorsim import cases, power_model as pm, simulate as sim, study as st, taylor as ty
 ring = pm.build_system(cases.synthetic_ring_spec(33, seed=7), 1.0)
 wscc = pm.build_system(cases.wscc9_spec(), 1.0)
+t = time.perf_counter()
 models = ty.build_model_set(wscc, levels=(0.8, 1.0, 1.2), ranks=(30, 36), seed=0,
                             cp_options=dict(max_iters=400, restarts=2, fit_tolerance=1e-9))
-out = {}
+out = {"build.wscc9_acceptance_s": time.perf_counter() - t}
+for order in (2, 3):
+    out[f"build.wscc9_acceptance.als_order{order}_s"] = sum(
+        jobs[f"order{order}"]["als_s"] for jobs in models.timings.values())
 for name, args in (("search.ring33.bus1.force_full_s", (ring, None, "force_full", 1)),
                    ("search.ring33.bus17.force_full_s", (ring, None, "force_full", 17)),
                    ("search.wscc9.bus7.adaptive_s", (wscc, models, "adaptive", 7))):
