@@ -422,6 +422,8 @@ def _pairwise_rule(eq: str, shape_a, shape_b) -> tuple:
 
 
 def _prepare(x, eq, shape):
+    """``x`` through the single-operand einsum ``eq``, then reshaped to
+    ``shape``; either step is skipped where it is None."""
     if eq is not None:
         x = np.einsum(eq, x)
     return x if shape is None else np.reshape(x, shape)
