@@ -312,16 +312,7 @@ def _cmd_build(args, outdir, cfg_hash):
     model_path = outdir / "models.npz"
     ty.save_model_set(ms, model_path, extra_meta=_meta(cfg_hash, args.seed))
     report = dict(_meta(cfg_hash, args.seed))
-    report.update(
-        command="build",
-        levels=list(levels),
-        ranks=list(ms.models[levels[0]].ranks),
-        fits=ms.meta["fits"],
-        converged=ms.meta["converged"],
-        iterations=ms.meta["iterations"],
-        models_file=model_path.name,
-        **extras,
-    )
+    report.update(ms.meta, command="build", models_file=model_path.name, **extras)
     st.write_json(outdir / "build_report.json", report)
     # measured wall times, outside the byte-identity guarantee
     st.write_json(outdir / f"metrics_{cfg_hash}.json",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import power_model as pm
 from . import simulate as sim
-from .taylor import ModelSet, compress_taylor_terms, hybrid_rows, taylor_terms
+from .taylor import ModelSet, _compress_order, _taylor_model, hybrid_rows, taylor_terms
 
 __all__ = [
     "GridMismatchError",
@@ -308,8 +308,11 @@ def rank_search(
     worst study-area rotor-angle RMS by the tolerance.
 
     Each candidate pair is scored by simulating the scenario under the
-    policy mode against a full-model baseline; the derivative tensors are
-    built once and recompressed per rank.
+    policy mode against a full-model baseline.  The derivative terms are
+    built once, and each order's term is compressed once per rank
+    (:func:`tensorsim.taylor._compress_order`): a pair's model is
+    assembled from the factors kept by (order, rank), which have the
+    bytes of :func:`tensorsim.taylor.compress_taylor_terms` at that pair.
     """
     if max_rank is None:
         max_rank = sys.n_states**2
@@ -319,9 +322,17 @@ def rank_search(
     baseline = sim.run_adaptive(sys, None, scenario, full_policy, dt)
     lv = sys.load_level
     terms = taylor_terms(sys)
+    kept = {}  # (order, rank) -> CpFactors
+
+    def factors(order, ranks):
+        key = (order, ranks[order - 2])
+        if key not in kept:
+            kept[key] = _compress_order(sys.n_states, order, terms[order - 1], ranks,
+                                        seed=seed, cp_options=cp_options)
+        return kept[key]
 
     def score(r2, r3):
-        model = compress_taylor_terms(sys, terms, (r2, r3), seed=seed, cp_options=cp_options)
+        model = _taylor_model(sys, terms[0], factors(2, (r2, r3)), factors(3, (r2, r3)))
         ms = ModelSet(levels=(lv,), models={lv: model})
         traj = sim.run_adaptive(sys, ms, scenario, policy, dt)
         if not traj.completed:

@@ -50,6 +50,7 @@ load level the model of its nearest representative level
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import logging
@@ -58,6 +59,9 @@ import numbers
 import os
 import sys
 import time
+import tokenize
+import zipfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -122,10 +126,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# the most threads one map has run on since :func:`_order_job` reset it
-_peak_threads = 1
-
-
 class _Threads:
     """An open pool of ``size`` threads, made by :func:`_thread_pool`."""
 
@@ -135,9 +135,6 @@ class _Threads:
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]`` on the pool's threads, which
         take the items in order as they come free."""
-        global _peak_threads
-        items = list(items)
-        _peak_threads = max(_peak_threads, min(len(items), self.size))
         if len(items) <= 1 or self.executor is None:
             return [fn(item) for item in items]
         return list(self.executor.map(fn, items))
@@ -504,8 +501,8 @@ class TaylorModel:
 
     # evaluation caches (leading factors with weights folded in, stacked
     # projection matrix) built once per model
-    _proj: np.ndarray = field(default=None, repr=False)
-    _lead: np.ndarray = field(default=None, repr=False)
+    _proj: np.ndarray = field(init=False, repr=False)
+    _lead: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r2, r3 = self.a2.rank, self.a3.rank
@@ -655,16 +652,14 @@ def _attempt(fn, *args):
 def _order_job(sys: pm.SystemModel, order: int, ranks, seed: int, cp_options):
     """One (level, order) job: build the order's term and compress it.
     Returns the factors and the job's timings: the seconds of the stencil
-    (the term) and of the ALS, the ALS iterations, and the most threads
-    one of its maps ran on (1 when it ran serially)."""
-    global _peak_threads
-    _peak_threads = 1
+    (the term) and of the ALS, and the ALS iterations.  It depends on its
+    arguments alone."""
     start = time.perf_counter()
     term = _order_term(sys, order)
     built = time.perf_counter()
     f = _compress_order(sys.n_states, order, term, ranks, seed=seed, cp_options=cp_options)
     return f, {"stencil_s": built - start, "als_s": time.perf_counter() - built,
-               "als_iterations": len(f.fit_history), "threads": _peak_threads}
+               "als_iterations": len(f.fit_history)}
 
 
 # BLAS thread counts, pinned to 1 for the build's workers
@@ -672,15 +667,16 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_models(systems: dict, ranks, seed: int, cp_options):
-    """The :class:`TaylorModel` of each system in ``systems`` (by level),
-    or the build failure of its lowest failing order (the Jacobian is
-    order 1); and, by level, the timings of each order's job
-    (:func:`_order_job`) for the levels that built.
+    """The :class:`TaylorModel` of each system in ``systems`` and the
+    timings of each of its order's jobs (:func:`_order_job`), both by
+    level.  A build failure of any level raises one
+    :class:`ModelBuildError` that names, in level order, each failing
+    level and the failure of its lowest failing order (the Jacobian is
+    order 1); any other error of a job propagates.
 
     Each (level, order) job builds that order's term and compresses it;
     its stencil chunks and sparse ALS rank blocks run on threads
-    (:func:`_thread_pool`), each pool sized from the CPU count alone, so
-    a job depends on its arguments only.
+    (:func:`_thread_pool`), each pool sized from the CPU count alone.
     The jobs run in ``min(jobs, CPUs)`` worker processes, order 3 first
     since those take longest, while this process computes the Jacobians.
     They run in process with one usable CPU, and when ``__main__`` names
@@ -690,16 +686,9 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
     threads.  The workers are spawned with BLAS on one thread: the
     variables of :data:`_BLAS_VARS` are 1 in ``os.environ`` while the
     pool lives, and restored after it.  A fork server would keep the
-    environment of whichever pool started it first.  On 2 cores a
-    spawned pool of two took 0.34-0.37 s to start and join, against
-    13-19 ms forked, and spawning re-imports the caller's ``__main__``.
-    Every job is deterministic and owns its seed, so the models have the
-    bytes of an in-process build with BLAS on one thread, whatever the
-    caller's.
-
-    Each (level, order) whose ALS stopped at its iteration cap
-    (``converged=False``) is logged as one WARNING, with its iterations
-    and fit."""
+    environment of whichever pool started it first.  Every job is
+    deterministic and owns its seed, so the models have the bytes of an
+    in-process build with BLAS on one thread, whatever the caller's."""
     jobs = [(lv, order) for order in (3, 2) for lv in systems]
     args = [(systems[lv], order, ranks, seed, cp_options) for lv, order in jobs]
     workers = min(len(jobs), _cpu_count())
@@ -723,35 +712,19 @@ def _build_models(systems: dict, ranks, seed: int, cp_options):
                 else:
                     os.environ[k] = v
     results = dict(zip(jobs, done))
-    for (lv, order), (job, _) in sorted(results.items()):
-        if job is not None and not job[0].converged:
-            f = job[0]
-            _log.warning("level %s order %d: ALS did not converge in %d iterations (fit %.6g)",
-                         lv, order, len(f.fit_history), f.fit)
-    out, timings = {}, {}
+    models, timings, failures = {}, {}, []
     for lv, sys_l in systems.items():
         parts = [a1[lv], results[lv, 2], results[lv, 3]]
         errors = [exc for _, exc in parts if exc is not None]
         if errors:
-            out[lv] = errors[0]
+            failures.append(f"level {lv}: {errors[0]}")
             continue
         (j, _), ((f2, t2), _), ((f3, t3), _) = parts
-        out[lv] = _taylor_model(sys_l, j, f2, f3)
+        models[lv] = _taylor_model(sys_l, j, f2, f3)
         timings[lv] = {"order2": t2, "order3": t3}
-    return out, timings
-
-
-def build_taylor_model(sys: pm.SystemModel, ranks) -> TaylorModel:
-    """The per-level Taylor model, with ALS seeded at 0 on the kernel's
-    defaults: the one-level case of the job runner behind
-    :func:`build_model_set`.  Ranks below 1, and ``ranks="full"`` above
-    :data:`DENSE_STATE_LIMIT` states, are refused before any term is
-    built."""
-    _check_ranks(sys, ranks)
-    model = _build_models({sys.load_level: sys}, ranks, 0, None)[0][sys.load_level]
-    if isinstance(model, Exception):
-        raise model
-    return model
+    if failures:
+        raise ModelBuildError("model set build aborted: " + "; ".join(failures))
+    return models, timings
 
 
 # ---------------------------------------------------------------------------
@@ -842,28 +815,36 @@ def build_model_set(
     that level's own re-solved equilibrium.  Bad ranks and repeated levels
     are refused first, then every level is solved (:func:`solve_levels`),
     then the (level, order) jobs of :func:`_build_models` run.  Any
-    per-level failure aborts the set build with a combined diagnostic."""
+    per-level failure aborts the set build with a combined diagnostic.
+    The metadata records each level's fits, and per order its ALS
+    convergence flag and iterations; each (level, order) whose ALS
+    stopped at its iteration cap (``converged=False``) is also logged as
+    one WARNING, with its iterations and fit."""
     _check_ranks(sys, ranks)
     models, timings = _build_models(solve_levels(sys, levels), ranks, seed, cp_options)
-    failures = [f"level {lv}: {m}" for lv, m in models.items() if isinstance(m, Exception)]
-    if failures:
-        raise ModelBuildError("model set build aborted: " + "; ".join(failures))
-    meta = {
-        "levels": list(levels),
-        "ranks": list(models[levels[0]].ranks),
-        "seed": seed,
-        "fits": {str(lv): list(models[lv].fits) for lv in levels},
-        "converged": {
-            str(lv): [bool(f.converged) for f in (models[lv].a2, models[lv].a3)]
-            for lv in levels
-        },
-        "iterations": {
-            str(lv): [len(f.fit_history) for f in (models[lv].a2, models[lv].a3)]
-            for lv in levels
-        },
-    }
+    meta = {"levels": list(levels), "ranks": list(models[levels[0]].ranks), "seed": seed,
+            "fits": {}, "converged": {}, "iterations": {}}
+    for lv in levels:
+        factors = (models[lv].a2, models[lv].a3)
+        meta["fits"][str(lv)] = list(models[lv].fits)
+        meta["converged"][str(lv)] = [bool(f.converged) for f in factors]
+        meta["iterations"][str(lv)] = [len(f.fit_history) for f in factors]
+        for order, f in zip((2, 3), factors):
+            if not f.converged:
+                _log.warning("level %s order %d: ALS did not converge in %d iterations "
+                             "(fit %.6g)", lv, order, len(f.fit_history), f.fit)
     return ModelSet(levels=tuple(levels), models=models, meta=meta,
                     timings={str(lv): timings[lv] for lv in levels})
+
+
+def build_taylor_model(sys: pm.SystemModel, ranks) -> TaylorModel:
+    """The Taylor model of ``sys`` at its own load level, with ALS seeded
+    at 0 on the kernel's defaults: the one-level :func:`build_model_set`,
+    so a failed build raises its :class:`ModelBuildError`.  Bad ranks,
+    ``ranks="full"`` above :data:`DENSE_STATE_LIMIT` states among them,
+    are refused before the level is read."""
+    _check_ranks(sys, ranks)
+    return build_model_set(sys, levels=(sys.load_level,), ranks=ranks).models[sys.load_level]
 
 
 def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:
@@ -892,37 +873,86 @@ def save_model_set(ms: ModelSet, path, extra_meta: dict | None = None) -> None:
     np.savez(path, **arrays)
 
 
-def load_model_set(path) -> ModelSet:
-    z = np.load(path)
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a tensorsim model set (not an .npz archive)")
-    with z:
-        def get(key):
-            if key not in z.files:
-                raise ValueError(f"{path}: not a tensorsim model set (missing '{key}')")
-            return z[key]
+# what numpy's zip and npy readers raise on a damaged archive: a bad zip
+# structure or checksum, a short member (EOFError), a compression method
+# flipped to one zipfile lacks (NotImplementedError), to deflate
+# (zlib.error) or to bzip2 (OSError), an encryption flag (RuntimeError),
+# and a bad npy header (ValueError, tokenize.TokenError)
+_ARCHIVE_ERRORS = (ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
+                   zipfile.BadZipFile, zlib.error, tokenize.TokenError)
 
-        levels = tuple(float(v) for v in get("levels"))
-        meta = json.loads(bytes(get("meta_json").tobytes()).decode())
-        models = {}
-        for i, lv in enumerate(levels):
-            pre = f"m{i}_"
-            info = get(pre + "info")
-            facs = {}
-            for tag, d in (("a2", 3), ("a3", 4)):
-                w = get(pre + tag + "_w")
-                mats = [get(pre + f"{tag}_f{k}") for k in range(d)]
-                facs[tag] = CpFactors(
-                    rank=w.size, factors=mats, weights=w,
-                    fit=float(info[1 if tag == "a2" else 2]),
-                )
-            models[lv] = TaylorModel(
-                load_level=float(info[0]),
-                x0=get(pre + "x0"),
-                a1=get(pre + "a1"),
-                a2=facs["a2"],
-                a3=facs["a3"],
-                ranks=(facs["a2"].rank, facs["a3"].rank),
-                fits=(float(info[1]), float(info[2])),
+
+def load_model_set(path) -> ModelSet:
+    """The model set that :func:`save_model_set` wrote to ``path``.
+
+    Raises ``OSError`` for a file that cannot be read, and ``ValueError``
+    for any content that is not such a set: an archive numpy cannot read,
+    a missing array, an array that is not finite 64-bit floats, ``levels``
+    that are empty, not 1-D or repeated, a metadata that is not a JSON
+    object, an ``info`` that is not three numbers, or a level whose
+    ``x0``, ``a1`` and factor rows disagree on the state count, with each
+    other or with another level's."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def bad(why):
+        return ValueError(f"{path}: not a tensorsim model set ({why})")
+
+    try:
+        z = np.load(io.BytesIO(data))
+        if isinstance(z, np.lib.npyio.NpzFile):
+            with z:
+                arrays = dict(z)
+    except _ARCHIVE_ERRORS as exc:
+        raise bad(f"unreadable archive: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise bad("not an .npz archive")
+
+    def get(key, shape):
+        """The array ``key``: finite 64-bit floats of ``shape``, where a
+        None length is any."""
+        if key not in arrays:
+            raise bad(f"missing '{key}'")
+        a = arrays[key]
+        if a.dtype != np.float64 or a.ndim != len(shape) or any(
+                want not in (None, got) for want, got in zip(shape, a.shape)):
+            raise bad(f"'{key}' is {a.dtype} of shape {a.shape}, want float64 of shape "
+                      f"{tuple('any' if d is None else d for d in shape)}")
+        if not np.all(np.isfinite(a)):
+            raise bad(f"'{key}' has non-finite entries")
+        return a
+
+    levels = tuple(float(v) for v in get("levels", (None,)))
+    if not levels or len(set(levels)) != len(levels):
+        raise bad(f"levels must be distinct and at least one, got {list(levels)}")
+    if "meta_json" not in arrays:
+        raise bad("missing 'meta_json'")
+    try:
+        meta = json.loads(arrays["meta_json"].tobytes().decode())
+    except ValueError as exc:
+        raise bad(f"bad metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise bad("metadata is not a JSON object")
+    n = get("m0_x0", (None,)).size
+    models = {}
+    for i, lv in enumerate(levels):
+        pre = f"m{i}_"
+        info = get(pre + "info", (3,))
+        facs = {}
+        for tag, d in (("a2", 3), ("a3", 4)):
+            w = get(pre + tag + "_w", (None,))
+            mats = [get(pre + f"{tag}_f{k}", (n, w.size)) for k in range(d)]
+            facs[tag] = CpFactors(
+                rank=w.size, factors=mats, weights=w,
+                fit=float(info[1 if tag == "a2" else 2]),
             )
+        models[lv] = TaylorModel(
+            load_level=float(info[0]),
+            x0=get(pre + "x0", (n,)),
+            a1=get(pre + "a1", (n, n)),
+            a2=facs["a2"],
+            a3=facs["a3"],
+            ranks=(facs["a2"].rank, facs["a3"].rank),
+            fits=(float(info[1]), float(info[2])),
+        )
     return ModelSet(levels=levels, models=models, meta=meta)

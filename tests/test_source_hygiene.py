@@ -6,8 +6,8 @@ a library dataclass is read somewhere, only ``taylor`` reaches the
 derivative enumerators, one call site outside ``power_model`` builds a
 faulted network, two call the RK4 loop of one state, one creates a
 process pool, on the spawn start method and with no initializer, and one
-a thread pool, and no module reads ``/proc`` or makes state that
-processes share.
+a thread pool, and no module reads ``/proc``, makes state that
+processes share or rebinds a module global.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree instead.
@@ -186,6 +186,15 @@ def test_one_process_pool_site():
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
                    and node.value.startswith("/proc"))
     assert not reads, f"/proc read at {reads}"
+
+
+def test_no_global_statement():
+    # a function that rebinds a module global shares that state with every
+    # caller in the process, and a build job would then depend on more than
+    # its arguments
+    found = sorted(f"{name}.py:{node.lineno}" for name in MODULES
+                   for node in ast.walk(_parse(name)) if isinstance(node, ast.Global))
+    assert not found, f"global statements at {found}"
 
 
 def test_one_thread_pool_site():

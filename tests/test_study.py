@@ -305,6 +305,30 @@ class TestRankSweepCore:
         assert len(res.curve) >= 1
         assert all("max_rms_deg" in row for row in res.curve)
 
+    def test_each_order_and_rank_compressed_once(self, wscc_sys, wscc_terms, monkeypatch):
+        # with r3 = r2 + 0, 1, 2 an order-2 rank recurs within a step and an
+        # order-3 rank across steps; each is compressed once, and every
+        # scored model has the fits of compressing its pair in process
+        opts = dict(max_iters=20, restarts=1)
+        oracle = {(r2, r2 + off): taylor.compress_taylor_terms(
+                      wscc_sys, wscc_terms, (r2, r2 + off), cp_options=opts).fits
+                  for r2 in (1, 2, 3) for off in (0, 1, 2)}
+        calls = []
+        compress = taylor._compress_order
+
+        def counted(n, order, term, ranks, **kwargs):
+            calls.append((order, ranks[order - 2]))
+            return compress(n, order, term, ranks, **kwargs)
+
+        monkeypatch.setattr(taylor, "_compress_order", counted)
+        monkeypatch.setattr(study, "_compress_order", counted)
+        monkeypatch.setattr(study, "taylor_terms", lambda sys_m: wscc_terms)
+        scn = sim.Scenario(fault_bus=7, t_clear=0.08, t_end=1.0)
+        res = study.rank_search(wscc_sys, scn, sim.SwitchPolicy(mode="force_taylor"),
+                                improvement_tol_deg=-math.inf, max_rank=3, cp_options=opts)
+        assert {(row["r2"], row["r3"]): row["fits"] for row in res.curve} == oracle
+        assert sorted(calls) == sorted({(2, r) for r in (1, 2, 3)} | {(3, r) for r in range(1, 6)})
+
     def test_search_above_dense_limit(self):
         # ring:7 has 63 states, so its terms come from the structured path
         sys_m = pm.build_system(cases.synthetic_ring_spec(7), 1.0)

@@ -13,7 +13,9 @@ machine:
   in odd ones); in each, a side runs
   ``perfbench/run.py --workload all --seed 1 --seconds 22``, then
   - the CLI commands ``build`` (``wscc9`` at the default levels and
-    ranks, and ``ring:33`` at level 1.0 and ranks (16, 12)), ``cct``
+    ranks, ``ring:33`` at level 1.0 and ranks (16, 12), and ``wscc9`` at
+    level 1.0 with ranks picked by a rank search up to rank 4 over a
+    3 s scenario, an observation), ``cct``
     (force_full and adaptive, bus 7) and ``sweep`` (bus 7) on ``wscc9``,
     each a new process;
   - both builds again with numpy's default BLAS threads, as in a default
@@ -63,6 +65,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 CLI_RUNS = {
     "cli.build.wscc9_s": ["build", "--system", "wscc9"],
     "cli.build.ring33_s": ["build", "--system", "ring:33", "--levels", "1.0", "--ranks", "16,12"],
+    "cli.build.wscc9_auto_s": ["build", "--system", "wscc9", "--ranks", "auto", "--levels", "1.0",
+                               "--t-end", "3.0", "--max-rank", "4"],
     "cli.cct.force_full_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "force_full"],
     "cli.cct.adaptive_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "adaptive"],
     "cli.sweep_s": ["sweep", "--system", "wscc9", "--fault-bus", "7"],
