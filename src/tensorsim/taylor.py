@@ -36,12 +36,12 @@ stencil chunks and the sparse ALS rank blocks run on threads
 :func:`compress_taylor_terms` compresses given
 terms in process.  Both sizes share one ALS loop,
 :func:`tensorsim.tensor_ops.cp_als`, and differ only in its MTTKRP
-kernel: a contraction of a dense tensor's nonzero slices, planned once
-per ALS run with the bytes of ``np.einsum``
-(:func:`tensorsim.tensor_ops.cp_decompose`), or, on the coordinate list,
-a gather/segment-sum compressed to its distinct trailing column tuples,
-so that the factor rows of each tuple are multiplied once, not once per
-nonzero.  A model set records the ALS fit, convergence flag and
+kernel: on a dense tensor's nonzero slices, the unfolding times a
+Khatri-Rao product on a two-half dimension tree, each half's product
+formed once per sweep (:func:`tensorsim.tensor_ops.cp_decompose`), or,
+on the coordinate list, a gather/segment-sum compressed to its distinct
+trailing column tuples, so that the factor rows of each tuple are
+multiplied once, not once per nonzero.  A model set records the ALS fit, convergence flag and
 iteration count of each level and order in its metadata, and serves any
 load level the model of its nearest representative level
 (:meth:`ModelSet.model_for`).
@@ -889,9 +889,11 @@ def load_model_set(path) -> ModelSet:
     for any content that is not such a set: an archive numpy cannot read,
     a missing array, an array that is not finite 64-bit floats, ``levels``
     that are empty, not 1-D or repeated, a metadata that is not a JSON
-    object, an ``info`` that is not three numbers, or a level whose
-    ``x0``, ``a1`` and factor rows disagree on the state count, with each
-    other or with another level's."""
+    object, an ``info`` that is not three numbers or whose load level is
+    not the level's entry in ``levels``, weights that are negative or
+    none (rank 0), or a level whose ``x0``, ``a1`` and factor rows
+    disagree on the state count, with each other or with another
+    level's."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -938,16 +940,21 @@ def load_model_set(path) -> ModelSet:
     for i, lv in enumerate(levels):
         pre = f"m{i}_"
         info = get(pre + "info", (3,))
+        if info[0] != lv:
+            raise bad(f"'{pre}info' gives load level {float(info[0])!r}, 'levels' {lv!r}")
         facs = {}
         for tag, d in (("a2", 3), ("a3", 4)):
             w = get(pre + tag + "_w", (None,))
+            if w.size == 0 or np.any(w < 0):
+                raise bad(f"'{pre}{tag}_w' must hold one nonnegative weight per rank, "
+                          f"at least one, got {w.tolist()}")
             mats = [get(pre + f"{tag}_f{k}", (n, w.size)) for k in range(d)]
             facs[tag] = CpFactors(
                 rank=w.size, factors=mats, weights=w,
                 fit=float(info[1 if tag == "a2" else 2]),
             )
         models[lv] = TaylorModel(
-            load_level=float(info[0]),
+            load_level=lv,
             x0=get(pre + "x0", (n,)),
             a1=get(pre + "a1", (n, n)),
             a2=facs["a2"],

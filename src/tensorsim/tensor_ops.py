@@ -4,12 +4,12 @@ Provides Kronecker and Khatri-Rao products, mode-k tensor-matrix products,
 mode-1 matricization and its inverse, and a CP (canonical polyadic)
 decomposition computed by alternating least squares.  The one ALS loop,
 :func:`cp_als`, serves the dense kernel here and the sparse coordinate
-kernel in :mod:`tensorsim.taylor` alike.  The dense kernel, inside
-:func:`cp_decompose`, contracts only the tensor's nonzero slices, since
-a zero slice adds nothing to an MTTKRP.  Each mode's contraction is
-planned once per decomposition (:func:`_einsum_plan`): the calls
-``np.einsum`` makes on the greedy contraction path, with its bytes, but
-without re-planning them on every MTTKRP.
+kernel in :mod:`tensorsim.taylor` alike.  The dense kernel
+(:func:`_tree_mttkrp`, inside :func:`cp_decompose`) contracts only the
+tensor's nonzero slices, since a zero slice adds nothing to an MTTKRP,
+on a dimension tree: the unfolding times a Khatri-Rao product, formed
+once per ALS sweep for each half of the modes and shared by the modes
+of that half.
 
 Storage convention
 ------------------
@@ -23,9 +23,7 @@ unfolding matches the reverse-mode Khatri-Rao factor ordering used by
 
 from __future__ import annotations
 
-import functools
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,13 +309,18 @@ def cp_als(
                 grams[k] = factors[k].T @ factors[k]
                 m_last = m
             # ||T - That||^2 = ||T||^2 - 2<T, That> + ||That||^2, with the
-            # inner product recovered from the last MTTKRP.
+            # inner product recovered from the last MTTKRP.  At exact
+            # recovery the terms cancel to their rounding, about
+            # eps * ||T||^2, which would read as fit noise near 1: a sum
+            # within d * rank * eps * ||T||^2 of zero, or below it, is 0.
             inner = float(np.sum(m_last * factors[d - 1]))
             v = np.ones((rank, rank))
             for j in range(d):
                 v *= grams[j]
             norm_hat_sq = float(np.sum(v))
-            resid_sq = max(norm_t**2 - 2.0 * inner + norm_hat_sq, 0.0)
+            resid_sq = norm_t**2 - 2.0 * inner + norm_hat_sq
+            if resid_sq <= d * rank * np.finfo(float).eps * norm_t**2:
+                resid_sq = 0.0
             fit = 1.0 - np.sqrt(resid_sq) / norm_t
             history.append(fit)
             if prev_fit is not None and abs(fit - prev_fit) < fit_tolerance:
@@ -339,154 +342,6 @@ def cp_als(
     )
 
 
-def _einsum_steps(expr: str, path, sizes: dict) -> list:
-    """The steps of ``np.einsum(expr, ..., optimize=path)``: per entry of
-    ``path``, the operand positions it takes (highest first, the order in
-    which numpy pops them) and its subscripts.  An intermediate keeps the
-    indices that a later step or the output needs, sorted by size, then
-    letter, as ``np.einsum_path`` orders them; the last step writes the
-    output."""
-    lhs, out = expr.split("->")
-    terms = lhs.split(",")
-    contractions = path[1:]  # path[0] is the tag "einsum_path"
-    steps = []
-    for n, inds in enumerate(contractions):
-        inds = sorted(inds, reverse=True)
-        taken = [terms.pop(i) for i in inds]
-        if n == len(contractions) - 1:
-            result = out
-        else:
-            needed = set(out).union(*terms)
-            result = "".join(sorted(set("".join(taken)) & needed, key=lambda ix: (sizes[ix], ix)))
-        terms.append(result)
-        steps.append((inds, ",".join(taken) + "->" + result))
-    return steps
-
-
-def _pairwise_rule(eq: str, shape_a, shape_b) -> tuple:
-    """numpy's rule for a two-operand einsum step (``bmm_einsum`` in
-    ``numpy/_core/einsumfunc.py``), written out: the single-operand einsum
-    and the reshape that prepare each operand (None where none is needed),
-    whether the product is an elementwise ``np.multiply`` (no contracted
-    index) or an ``np.matmul``, and the reshape and transpose of the
-    matmul's result.  Indices of size 1 are left out of the matmul's
-    groups and come back as leading axes of the result."""
-    lhs, out = eq.split("->")
-    a_term, b_term = lhs.split(",")
-    sizes, singletons, left, right = {}, set(), {}, {}
-    for ix, n in zip(a_term, shape_a):
-        if n == 1:
-            singletons.add(ix)
-        else:
-            sizes[ix], left[ix] = n, True
-    for ix, n in zip(b_term, shape_b):
-        if n == 1:
-            if ix not in left:
-                singletons.add(ix)
-        else:
-            singletons.discard(ix)
-            sizes[ix], right[ix] = n, True
-    bat, con, a_keep = [], [], []
-    for ix in left:
-        if right.pop(ix, False):
-            (bat if ix in out else con).append(ix)
-        elif ix in out:
-            a_keep.append(ix)
-    b_keep = [ix for ix in right if ix in out]
-
-    def einsum_to(term, want):
-        return None if want == term else f"{term}->{want}"
-
-    if not con:
-        dims_a = [shape_a[a_term.index(ix)] if ix in a_term else 1 for ix in out]
-        dims_b = [shape_b[b_term.index(ix)] if ix in b_term else 1 for ix in out]
-        return (einsum_to(a_term, "".join(ix for ix in out if ix in a_term)), dims_a,
-                einsum_to(b_term, "".join(ix for ix in out if ix in b_term)), dims_b,
-                True, None, None)
-
-    def fused(groups):
-        if all(len(g) == 1 for g in groups):
-            return None
-        return tuple(math.prod(sizes[ix] for ix in g) for g in groups)
-
-    groups = (bat,) if bat else ()
-    ones = [ix for ix in out if ix in singletons]
-    shape_ab = None
-    if any(len(g) != 1 for g in groups + (a_keep, b_keep)) or ones:
-        shape_ab = (1,) * len(ones) + tuple(sizes[ix] for ix in bat + a_keep + b_keep)
-    produced = "".join(ones + bat + a_keep + b_keep)
-    perm_ab = None if produced == out else tuple(produced.index(ix) for ix in out)
-    return (einsum_to(a_term, "".join(bat + a_keep + con)), fused(groups + (a_keep, con)),
-            einsum_to(b_term, "".join(bat + con + b_keep)), fused(groups + (con, b_keep)),
-            False, shape_ab, perm_ab)
-
-
-def _prepare(x, eq, shape):
-    """``x`` through the single-operand einsum ``eq``, then reshaped to
-    ``shape``; either step is skipped where it is None."""
-    if eq is not None:
-        x = np.einsum(eq, x)
-    return x if shape is None else np.reshape(x, shape)
-
-
-def _pairwise_step(eq: str, shape_a, shape_b, fixed):
-    """The two-operand step ``eq`` as a function of its operands: the
-    preparations and the one product of :func:`_pairwise_rule`.  Where
-    ``fixed`` holds an operand instead of None, its prepared form is built
-    here, once, and the step ignores what it is passed in that place."""
-    eq_a, to_a, eq_b, to_b, multiply, shape_ab, perm_ab = _pairwise_rule(eq, shape_a, shape_b)
-    ready_a, ready_b = (None if x is None else _prepare(x, e, s)
-                        for x, e, s in zip(fixed, (eq_a, eq_b), (to_a, to_b)))
-
-    def step(a, b):
-        a = _prepare(a, eq_a, to_a) if ready_a is None else ready_a
-        b = _prepare(b, eq_b, to_b) if ready_b is None else ready_b
-        if multiply:
-            return np.multiply(a, b)
-        ab = np.matmul(a, b)
-        if shape_ab is not None:
-            ab = np.reshape(ab, shape_ab)
-        return ab if perm_ab is None else ab.transpose(perm_ab)
-
-    return step
-
-
-def _einsum_plan(expr: str, path, core: np.ndarray, shapes):
-    """``np.einsum(expr, core, *ops, optimize=path)`` as a fixed plan: a
-    function of ``ops``, whose shapes are ``shapes``, with the bytes of that
-    call.
-
-    ``np.einsum`` re-parses the subscripts and rebuilds its contraction list
-    in Python on every call; the plan does that once.  A step of two
-    operands is a :func:`_pairwise_step`; a step of more runs
-    ``np.einsum(step, *operands, optimize=False)``, the call ``np.einsum``
-    makes.  ``core`` is fixed, so its prepared form is built here, once.
-    """
-    sizes = {}
-    for term, shape in zip(expr.split("->")[0].split(","), [core.shape, *shapes]):
-        sizes.update(zip(term, shape))
-    fixed = [core] + [None] * len(shapes)  # each operand, where it is fixed
-    plan = []
-    for inds, eq in _einsum_steps(expr, path, sizes):
-        taken = [fixed.pop(i) for i in inds]
-        if len(inds) == 2:
-            a_term, b_term = eq.split("->")[0].split(",")
-            step = _pairwise_step(eq, [sizes[ix] for ix in a_term],
-                                  [sizes[ix] for ix in b_term], taken)
-        else:
-            step = functools.partial(np.einsum, eq, optimize=False)
-        fixed.append(None)
-        plan.append((inds, step))
-
-    def run(*ops):
-        ops = [core, *ops]
-        for inds, step in plan:
-            ops.append(step(*[ops.pop(i) for i in inds]))
-        return ops[0]
-
-    return run
-
-
 def _support_core(a: np.ndarray):
     """The support of each mode of ``a`` (the indices whose slice holds a
     nonzero entry) and the sub-tensor on the supports."""
@@ -498,20 +353,51 @@ def _support_core(a: np.ndarray):
     return support, a[np.ix_(*support)]
 
 
-def _mttkrp_plans(core: np.ndarray, rank: int) -> list:
-    """Per mode ``k`` of ``core``: the other modes, the einsum of the
-    mode-``k`` MTTKRP against their factor rows, its contraction path
-    (``np.einsum_path``, greedy) and its :func:`_einsum_plan`."""
-    d = core.ndim
-    letters = string.ascii_lowercase[:d]
-    plans = []
-    for k in range(d):
-        others = [j for j in range(d) if j != k]
-        expr = ",".join([letters] + [letters[j] + "z" for j in others]) + "->" + letters[k] + "z"
-        shapes = [(core.shape[j], rank) for j in others]
-        path = np.einsum_path(expr, core, *(np.empty(s) for s in shapes), optimize=True)[0]
-        plans.append((others, expr, path, _einsum_plan(expr, path, core, shapes)))
-    return plans
+def _tree_mttkrp(a: np.ndarray):
+    """The MTTKRP ``mttkrp(factors, k)`` of the dense tensor ``a``, on a
+    dimension tree of two halves (Phan, Tichavsky & Cichocki, IEEE Trans.
+    Signal Process. 61(19), 2013).
+
+    The modes of the support core split into a leading half ``L`` and a
+    trailing half ``R``.  ``X_L = core(L, R) @ KR(R's factor rows)``, the
+    unfolding times a Khatri-Rao product (Kolda & Bader, SIAM Review
+    51(3), 2009), serves every mode in ``L``, and ``X_R = core(L, R).T @
+    KR(L's factor rows)`` every mode in ``R``; a mode then contracts its
+    half's ``X`` with the other factor rows of its own half.  ALS updates
+    the modes in order, so one ``X`` per half is formed once per sweep:
+    each is cached on the factor objects it was formed from, compared
+    with ``is`` (``cp_als`` assigns a new array per update), not on their
+    ``id``, which a freed array's successor can take.  The result is
+    scattered back into the full ``(dims[k], rank)`` row space; rows off
+    the support stay exactly zero.
+    """
+    support, core = _support_core(a)
+    d, h = core.ndim, core.ndim // 2
+    halves = (tuple(range(h)), tuple(range(h, d)))
+    # an all-zero tensor has empty supports, so the sizes are given whole
+    unfold = core.reshape(math.prod(core.shape[:h]), math.prod(core.shape[h:]))
+    cache = {}  # half -> (the other half's factors, X of the half)
+
+    def mttkrp(factors, k):
+        rank = factors[0].shape[1]
+        lead = k < h
+        half, other = halves if lead else halves[::-1]
+        feeding = [factors[j] for j in other]
+        hit = cache.get(half)
+        if hit is None or any(f is not g for f, g in zip(hit[0], feeding)):
+            kr = khatri_rao_list([f[support[j]] for j, f in zip(other, feeding)])
+            x = (unfold if lead else unfold.T) @ kr
+            cache[half] = hit = feeding, x.reshape(*(core.shape[j] for j in half), rank)
+        x = hit[1]
+        if len(half) > 1:
+            rows = [(factors[j][support[j]], [i, len(half)]) for i, j in enumerate(half) if j != k]
+            x = np.einsum(x, [*range(len(half) + 1)], *(o for row in rows for o in row),
+                          [half.index(k), len(half)])
+        m = np.zeros((a.shape[k], rank))
+        m[support[k]] = x
+        return m
+
+    return mttkrp
 
 
 def cp_decompose(
@@ -527,30 +413,15 @@ def cp_decompose(
     fit, the convergence flag and the per-iteration fit history ride on
     the returned factors.
 
-    The MTTKRP runs on the tensor's support only: the support of mode
-    ``k`` is the set of indices whose slice holds a nonzero entry, and a
-    zero slice adds nothing to any MTTKRP.  Each mode's MTTKRP contracts
-    the sub-tensor on the supports against the matching factor rows by a
-    plan made once per call (:func:`_mttkrp_plans`): the steps that
-    ``np.einsum`` takes on the greedy contraction path, with the same
-    bytes, and the sub-tensor's prepared operand built once.  The result
-    is scattered back into the full ``(dims[k], rank)`` row space; rows
-    off the support stay exactly zero.
+    The MTTKRP (:func:`_tree_mttkrp`) runs on the tensor's support only:
+    the support of mode ``k`` is the set of indices whose slice holds a
+    nonzero entry, and a zero slice adds nothing to any MTTKRP.
     """
     t = _as_tensor(t)
-    support, core = _support_core(t.array)
-    plans = _mttkrp_plans(core, rank)
-
-    def support_mttkrp(factors, k):
-        others, _, _, plan = plans[k]
-        m = np.zeros((t.dims[k], rank))
-        m[support[k]] = plan(*(factors[j][support[j]] for j in others))
-        return m
-
     return cp_als(
         t.dims,
         t.norm(),
-        support_mttkrp,
+        _tree_mttkrp(t.array),
         rank,
         max_iters=max_iters,
         fit_tolerance=fit_tolerance,

@@ -215,7 +215,8 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == f"{p}: not a tensorsim model set (not an .npz archive)"
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_levels", "nan_weight"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_levels", "nan_weight", "level_mismatch",
+                                        "negative_weight"])
     def test_malformed_model_set_exit_two(self, tmp_path, capsys, wscc_sys, wscc_terms, damage):
         model = taylor.compress_taylor_terms(wscc_sys, wscc_terms, (2, 2),
                                              cp_options=dict(max_iters=2))
@@ -228,8 +229,13 @@ class TestErrors:
                 arrays = dict(z)
             if damage == "no_levels":
                 arrays["levels"] = np.zeros(0)
-            else:
+            elif damage == "nan_weight":
                 arrays["m0_a2_w"] = np.full(2, np.nan)
+            elif damage == "level_mismatch":
+                # the level-1.0 model saved under level 1.7
+                arrays["m0_info"][0] = 1.7
+            else:
+                arrays["m0_a2_w"][0] = -1.0
             np.savez(p, **arrays)
         code = run_cli(
             ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -1,7 +1,7 @@
 import copy
+import dataclasses
 import functools
 import hashlib
-import importlib
 import logging
 import math
 import multiprocessing
@@ -421,12 +421,13 @@ class TestModelSet:
 
 @pytest.fixture(scope="module")
 def saved_set(wscc_sys, wscc_terms, tmp_path_factory):
-    """A small saved set: one rank-2 model of ``wscc9`` at two levels."""
+    """A small saved set: one rank-2 model of ``wscc9``, saved at two
+    levels, each under its own load level."""
     model = taylor.compress_taylor_terms(wscc_sys, wscc_terms, (2, 2),
                                          cp_options=dict(max_iters=2))
     path = tmp_path_factory.mktemp("sets") / "models.npz"
-    taylor.save_model_set(taylor.ModelSet(levels=(1.0, 1.1), models={1.0: model, 1.1: model}),
-                          path)
+    models = {1.0: model, 1.1: dataclasses.replace(model, load_level=1.1)}
+    taylor.save_model_set(taylor.ModelSet(levels=(1.0, 1.1), models=models), path)
     return path
 
 
@@ -491,8 +492,9 @@ class TestLoadModelSet:
         ("m1_x0", np.ones(26), "'m1_x0' is float64 of shape (26,)"),
         ("m0_a3_f2", np.ones((26, 2)), "'m0_a3_f2' is float64 of shape (26, 2)"),
         ("m1_a2_w", np.array([np.nan, 1.0]), "'m1_a2_w' has non-finite entries"),
+        ("m1_info", np.array([1.0, 0.5, 0.5]), "'m1_info' gives load level 1.0, 'levels' 1.1"),
     ], ids=["no_levels", "repeated_levels", "levels_2d", "meta_list", "short_info",
-            "a1_1d", "short_x0", "short_factor", "nan_weight"])
+            "a1_1d", "short_x0", "short_factor", "nan_weight", "level_mismatch"])
     def test_refused(self, saved_set, tmp_path, key, value, message):
         with np.load(saved_set) as z:
             arrays = dict(z)
@@ -503,6 +505,23 @@ class TestLoadModelSet:
             taylor.load_model_set(path)
         assert str(info.value).startswith(f"{path}: not a tensorsim model set (")
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("tag, weights", [("a3", [0.5, -0.5]), ("a2", [])],
+                             ids=["negative_weight", "zero_rank"])
+    def test_refused_weights(self, saved_set, tmp_path, tag, weights):
+        # a rank-0 model has no weights and factors of no column
+        with np.load(saved_set) as z:
+            arrays = dict(z)
+        arrays[f"m1_{tag}_w"] = np.array(weights, dtype=float)
+        for k in range(4 if tag == "a3" else 3):
+            arrays[f"m1_{tag}_f{k}"] = arrays[f"m1_{tag}_f{k}"][:, :len(weights)]
+        path = tmp_path / "models.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as info:
+            taylor.load_model_set(path)
+        assert str(info.value) == (
+            f"{path}: not a tensorsim model set ('m1_{tag}_w' must hold one nonnegative "
+            f"weight per rank, at least one, got {weights})")
 
     def test_truncated_archive_refused(self, saved_set, tmp_path):
         path = tmp_path / "models.npz"
@@ -545,52 +564,62 @@ def dense_terms(wscc_terms, ring5_sys):
             "ring5": tuple(taylor.taylor_tensors(ring5_sys, order) for order in (2, 3))}
 
 
-class TestPlannedMttkrp:
+def _einsum_mttkrp(a, factors, k):
+    """The mode-``k`` MTTKRP of the whole tensor ``a``, by ``np.einsum``."""
+    d = a.ndim
+    others = [j for j in range(d) if j != k]
+    return np.einsum(a, list(range(d)), *(x for j in others for x in (factors[j], [j, d])),
+                     [k, d], optimize=True)
+
+
+def _agree(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+class TestTreeMttkrp:
     @pytest.mark.parametrize("case", ["wscc9", "ring5"])
     @pytest.mark.parametrize("order, rank", [(2, 30), (3, 36)])
-    def test_plan_has_the_einsum_bytes(self, dense_terms, case, order, rank):
-        t = dense_terms[case][order - 2]
-        support, core = tensor_ops._support_core(t.array)
-        plans = tensor_ops._mttkrp_plans(core, rank)
+    def test_matches_full_einsum(self, dense_terms, case, order, rank):
+        # two sweeps in ALS order, each mode's factor replaced after its
+        # MTTKRP, so each half's contraction is formed and then reused
+        a = dense_terms[case][order - 2].array
         rng = np.random.default_rng(order)
-        for others, expr, path, plan in plans:
-            rows = [rng.uniform(size=(core.shape[j], rank)) for j in others]
-            want = np.einsum(expr, core, *rows, optimize=path)
-            got = plan(*rows)
-            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), expr
+        factors = [rng.uniform(size=(n, rank)) for n in a.shape]
+        mttkrp = tensor_ops._tree_mttkrp(a)
+        for _ in range(2):
+            for k in range(a.ndim):
+                got = mttkrp(factors, k)
+                assert _agree(got, _einsum_mttkrp(a, factors, k)), k
+                factors[k] = rng.uniform(size=factors[k].shape)
 
-        def einsum_mttkrp(factors, k):
-            others, expr, path, _ = plans[k]
-            m = np.zeros((t.dims[k], rank))
-            m[support[k]] = np.einsum(expr, core, *(factors[j][support[j]] for j in others),
-                                      optimize=path)
-            return m
+    @pytest.mark.parametrize("dims", [(4, 3, 5), (1, 4, 3), (3, 1, 1, 4), (2, 3, 1, 2, 3),
+                                      (1, 2, 3, 1, 2, 2)])
+    def test_random_cores(self, dims):
+        # orders 2-5, size-1 modes and zero slices, then the all-zero tensor
+        rng = np.random.default_rng(len(dims))
+        a = rng.standard_normal(dims)
+        a[..., -1] = 0.0
+        for t in (a, np.zeros(dims)):
+            factors = [rng.standard_normal((n, 3)) for n in dims]
+            mttkrp = tensor_ops._tree_mttkrp(t)
+            for k in range(len(dims)):
+                got = mttkrp(factors, k)
+                assert got.shape == (dims[k], 3)
+                assert _agree(got, _einsum_mttkrp(t, factors, k)), (k, t.any())
+                factors[k] = rng.standard_normal((dims[k], 3))
+        assert cp_decompose(np.zeros(dims), 2).fit == 1.0
 
-        opts = dict(max_iters=20, restarts=2, fit_tolerance=0.0, seed=5)
-        got = cp_decompose(t, rank, **opts)
-        want = cp_als(t.dims, t.norm(), einsum_mttkrp, rank, **opts)
-        assert len(got.fit_history) == 20
-        assert (got.fit, got.converged) == (want.fit, want.converged)
-        for a, b in zip([got.weights, got.fit_history, *got.factors],
-                        [want.weights, want.fit_history, *want.factors]):
-            assert _same_bytes(a, b)
-
-    def test_contraction_path_planned_once_per_mode(self, wscc_terms, monkeypatch):
-        # np.einsum(..., optimize=path) re-runs einsum_path on every call
-        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
-        real, calls = np.einsum_path, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum_path", counted)
-        monkeypatch.setattr(einsumfunc, "einsum_path", counted)
-        t3 = wscc_terms[2]
-        for iters in (1, 30):
-            calls.clear()
-            cp_decompose(t3, 4, max_iters=iters, restarts=2, fit_tolerance=0.0)
-            assert 0 < len(calls) <= 2 * t3.ndim, iters
+    def test_stale_contraction_is_not_reused(self, dense_terms):
+        # modes 0 and 1 share core(01, 23) @ KR(A2, A3): replacing A3
+        # between their calls must form it again
+        a = dense_terms["wscc9"][1].array
+        rng = np.random.default_rng(0)
+        factors = [rng.uniform(size=(n, 4)) for n in a.shape]
+        mttkrp = tensor_ops._tree_mttkrp(a)
+        mttkrp(factors, 0)
+        factors[3] = rng.uniform(size=factors[3].shape)
+        assert _same_bytes(mttkrp(factors, 1), tensor_ops._tree_mttkrp(a)(factors, 1))
+        assert _agree(mttkrp(factors, 1), _einsum_mttkrp(a, factors, 1))
 
 
 class TestStructuredPath:

@@ -182,6 +182,16 @@ class TestCpDecompose:
         assert np.all(f.weights == 0)
         assert f.fit == 1.0
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_recovery_reads_fit_one(self, seed):
+        # at exact recovery the residual norm is rounding, about
+        # eps * ||T||^2, whose square root would read as fit noise of 1e-8
+        rng = np.random.default_rng(seed)
+        facs = [rng.uniform(0.1, 1.0, size=(n, 1)) for n in (20, 15, 20)]
+        f = cp_decompose(Tensor(np.einsum("ir,jr,kr->ijk", *facs)), 1, seed=0)
+        assert f.fit == 1.0
+        assert np.all(np.diff(f.fit_history) > -1e-10)
+
     def test_monotone_fit_history(self):
         rng = np.random.default_rng(13)
         t = Tensor(rng.standard_normal((5, 5, 5)))
