@@ -41,10 +41,10 @@ Khatri-Rao product on a two-half dimension tree, each half's product
 formed once per sweep (:func:`tensorsim.tensor_ops.cp_decompose`), or,
 on the coordinate list, a gather/segment-sum compressed to its distinct
 trailing column tuples, so that the factor rows of each tuple are
-multiplied once, not once per nonzero.  A model set records the ALS fit, convergence flag and
-iteration count of each level and order in its metadata, and serves any
-load level the model of its nearest representative level
-(:meth:`ModelSet.model_for`).
+multiplied once, not once per nonzero.  A model set records the ALS
+fit, convergence flag and iteration count of each level and order in
+its metadata, and serves any load level the model of its nearest
+representative level (:meth:`ModelSet.model_for`).
 """
 
 from __future__ import annotations

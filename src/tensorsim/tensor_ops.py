@@ -390,9 +390,12 @@ def _tree_mttkrp(a: np.ndarray):
             cache[half] = hit = feeding, x.reshape(*(core.shape[j] for j in half), rank)
         x = hit[1]
         if len(half) > 1:
-            rows = [(factors[j][support[j]], [i, len(half)]) for i, j in enumerate(half) if j != k]
-            x = np.einsum(x, [*range(len(half) + 1)], *(o for row in rows for o in row),
-                          [half.index(k), len(half)])
+            # the half's other modes against their factor rows; axis r is the rank
+            r, ops = len(half), []
+            for i, j in enumerate(half):
+                if j != k:
+                    ops += [factors[j][support[j]], [i, r]]
+            x = np.einsum(x, list(range(r + 1)), *ops, [half.index(k), r])
         m = np.zeros((a.shape[k], rank))
         m[support[k]] = x
         return m
