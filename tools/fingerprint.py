@@ -93,18 +93,24 @@ def payload_hashes(outdir: Path) -> dict:
             if f.is_file() and not f.name.startswith(MEASUREMENTS)}
 
 
+def _run(cmd, env) -> str:
+    """The standard output of ``cmd``, run in the repo root; a failure
+    raises with the end of its standard error."""
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
 def _cli(argv, outdir: Path, env) -> dict:
-    subprocess.run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(outdir)],
-                   cwd=ROOT, env=env, check=True, capture_output=True)
+    _run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(outdir)], env)
     return payload_hashes(outdir)
 
 
 def _part(name: str) -> dict:
     """Part ``name``, computed in a new process with BLAS on one thread."""
     code = f"import json, fingerprint; print(json.dumps(fingerprint.{name}()))"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=PINNED_ENV,
-                          check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(_run([sys.executable, "-c", code], PINNED_ENV).strip().splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +289,8 @@ def main(argv=None) -> int:
     if old is None:
         return 0
     diffs = differences(old, record)
-    for key, old, new in diffs:
-        print(f"{key}: {json.dumps(old)} -> {json.dumps(new)}")
+    for key, was, now in diffs:
+        print(f"{key}: {json.dumps(was)} -> {json.dumps(now)}")
     return 1 if diffs else 0
 
 
