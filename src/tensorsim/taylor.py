@@ -41,7 +41,8 @@ Khatri-Rao product on a two-half dimension tree, each half's product
 formed once per sweep (:func:`tensorsim.tensor_ops.cp_decompose`), or,
 on the coordinate list, a gather/segment-sum compressed to its distinct
 trailing column tuples, so that the factor rows of each tuple are
-multiplied once, not once per nonzero.  A model set records the ALS
+multiplied once, not once per nonzero, and each class of equal fibers
+meets the mode-0 factor once.  A model set records the ALS
 fit, convergence flag and iteration count of each level and order in
 its metadata, and serves any load level the model of its nearest
 representative level (:meth:`ModelSet.model_for`).
@@ -216,23 +217,33 @@ def _derivative_coo(f_batch, x0, order: int, entries, *, refine: bool):
     tensor of the given order, scaled by 1/order!.  ``entries`` pairs each
     column multiset with the rows to keep; its one stencil value serves
     every permutation.  Steps are ``step * max(1, |x0_j|)`` with the
-    order's step; ``refine`` adds the Richardson pass."""
+    order's step; ``refine`` adds the Richardson pass.
+
+    The list is expanded with array operations into one block per
+    (entry, permutation): the entries in their given order, an entry's
+    permutations in ``set(itertools.permutations(tup))`` order, a block's
+    rows in the entry's order.  That order is part of the bytes
+    downstream: it fixes the norm of the values and the summation order of
+    the mode-0 MTTKRP."""
     h = _FD_STEPS[order] * np.maximum(1.0, np.abs(x0))
     tuples = [tup for tup, _ in entries]
     vals = _multiset_values(f_batch, x0, h, tuples, order)
     if refine:  # (4 D(h/2) - D(h)) / 3 cancels the h^2 truncation term
         vals = (4.0 * _multiset_values(f_batch, x0, h / 2.0, tuples, order) - vals) / 3.0
-    coord_parts = []
-    value_parts = []
-    for (tup, rows), v in zip(entries, vals):
-        vr = v[rows]
-        for perm in set(itertools.permutations(tup)):
-            block = np.empty((rows.size, order + 1), dtype=np.int64)
-            block[:, 0] = rows
-            block[:, 1:] = perm
-            coord_parts.append(block)
-            value_parts.append(vr)
-    return np.concatenate(coord_parts, axis=0), np.concatenate(value_parts)
+    perms = [set(itertools.permutations(tup)) for tup in tuples]
+    sizes = np.array([rows.size for _, rows in entries])
+    block_entry = np.repeat(np.arange(len(entries)), [len(p) for p in perms])
+    block_sizes = sizes[block_entry]
+    coord_block = np.repeat(np.arange(block_entry.size), block_sizes)
+    # a coordinate's place in its block, shifted to its entry's rows
+    shift = (np.cumsum(sizes) - sizes)[block_entry] - (np.cumsum(block_sizes) - block_sizes)
+    rows = np.concatenate([rows for _, rows in entries])[
+        np.arange(coord_block.size) + shift[coord_block]]
+    coords = np.empty((rows.size, order + 1), dtype=np.int64)
+    coords[:, 0] = rows
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(perms))
+    coords[:, 1:] = np.fromiter(flat, dtype=np.int64).reshape(-1, order)[coord_block]
+    return coords, vals[block_entry[coord_block], rows]
 
 
 def fd_derivative_tensor(f_batch, x0: np.ndarray, order: int, *, columns=None,
@@ -373,7 +384,12 @@ def _structured_coo(sys: pm.SystemModel, order: int):
 
 def _segment_starts(keys: np.ndarray) -> np.ndarray:
     """Offsets at which the runs of equal values in sorted ``keys`` start."""
-    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])
+
+
+# entries per block of the mode-0 MTTKRP, which takes whole row segments;
+# each segment sums its own entries in order, so no byte depends on it
+_MODE0_BLOCK = 1 << 17
 
 
 def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None, 1)):
@@ -384,17 +400,23 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None
 
     Mode 0 forms the Khatri-Rao row ``K[t] = F_1[i_1] * ... *
     F_{d-1}[i_{d-1}]`` once per tuple, gathers it at the nonzeros, scales
-    by the values and segment-sums by row.  The trailing modes share
-    ``W[t] = sum_i T[i, t] F_0[i]``, formed once per tuple and cached on the
-    identity of ``factors[0]``, and multiply it by the other trailing
-    factors at the tuple level only.  The sort plans are built here, once;
-    the work arrays are rank-major, ``(rank, count)``.
+    by the values and segment-sums by row, in blocks of whole row segments
+    of about :data:`_MODE0_BLOCK` entries.  The trailing modes share
+    ``W[t] = sum_i T[i, t] F_0[i]``, cached on the identity of
+    ``factors[0]``, and multiply it by the other trailing factors at the
+    tuple level only.  ``W[t]`` depends only on the fiber ``T[:, t]`` in
+    stored order, so when the trailing dims are equal, a tuple whose fiber
+    has the rows and value bits of its sorted permutation's takes that
+    tuple's ``W``; only the others form their own.  A symmetric term's
+    permutations all carry one fiber, so at order 3 a quarter of its
+    entries form ``W``.  The sort plans and the classes are built here,
+    once; the work arrays are rank-major, ``(rank, count)``.
 
-    On an open :func:`_thread_pool` (``pool``), each call splits the rank
-    into one column block per thread of the pool.  Every
-    step above acts on one rank row at a time: the gathers, the
-    elementwise products and the segment sums along the nonzero axis.  So
-    each block's columns have the bytes of the unsplit kernel.  The blocks
+    Every step above acts on one rank row at a time, and every segment sum
+    on one segment's entries in their order.  So the blocks of mode 0 and
+    the shared ``W`` keep the bytes of the plain kernel, and on an open
+    :func:`_thread_pool` (``pool``), where each call splits the rank into
+    one column block per thread, so does each block's columns.  The blocks
     share the sort plans, and each keeps its own ``W``.
     """
     d = len(dims)
@@ -406,15 +428,39 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None
     row_starts = _segment_starts(rows[by_row])
     row_ids = rows[by_row][row_starts]
     row_tuple, row_vals = tuple_id[by_row], values[by_row]
+    cuts = np.unique(np.r_[np.searchsorted(row_starts, np.arange(0, rows.size, _MODE0_BLOCK)),
+                           row_starts.size])
+    ends = np.r_[row_starts, rows.size][cuts]
+    mode0 = [(slice(s0, s1), row_tuple[e0:e1], row_vals[e0:e1], row_starts[s0:s1] - e0)
+             for s0, s1, e0, e1 in zip(cuts[:-1], cuts[1:], ends[:-1], ends[1:])]
     by_tuple = np.argsort(tuple_id, kind="stable")
-    tuple_starts = _segment_starts(tuple_id[by_tuple])
+    entry_tuple = tuple_id[by_tuple]
+    tuple_starts = _segment_starts(entry_tuple)
     tuple_rows, tuple_vals = rows[by_tuple], values[by_tuple]
+    source = np.arange(tuple_keys.size)  # the tuple whose W each tuple takes
+    if tuple_keys.size and len(set(dims[1:])) == 1:
+        sorted_keys = np.ravel_multi_index(tuple(np.sort(tuples, axis=0)), tuple(dims[1:]))
+        canon = np.minimum(np.searchsorted(tuple_keys, sorted_keys), source.size - 1)
+        counts = np.diff(np.r_[tuple_starts, rows.size])
+        alike = (tuple_keys[canon] == sorted_keys) & (counts[canon] == counts)
+        pos = np.arange(rows.size)
+        partner = np.where(alike[entry_tuple],
+                           pos + (tuple_starts[canon] - tuple_starts)[entry_tuple], pos)
+        other = tuple_vals[partner]
+        equal = ((tuple_rows[partner] == tuple_rows) & (other == tuple_vals)
+                 & (np.signbit(other) == np.signbit(tuple_vals)))
+        source = np.where(alike & np.logical_and.reduceat(equal, tuple_starts), canon, source)
+    own = source == np.arange(source.size)
+    kept = own[entry_tuple]  # the entries that form a W
+    w_rows, w_vals = tuple_rows[kept], tuple_vals[kept]
+    w_starts = _segment_starts(entry_tuple[kept])
+    w_of = (np.cumsum(own) - 1)[source]
     trailing = [None]
     for k in range(1, d):
         order_k = np.argsort(tuples[k - 1], kind="stable")
         ck = tuples[k - 1][order_k]
         starts = _segment_starts(ck)
-        trailing.append((order_k, [t[order_k] for t in tuples], starts, ck[starts]))
+        trailing.append((w_of[order_k], [t[order_k] for t in tuples], starts, ck[starts]))
     # column block -> (factors[0], W): cp_als assigns a new array per update
     w_cache = {}
 
@@ -426,19 +472,21 @@ def _coo_mttkrp(dims, coords: np.ndarray, values: np.ndarray, pool=_Threads(None
             kr = np.take(ft[1], tuples[0], axis=1)
             for j in range(2, d):
                 kr *= np.take(ft[j], tuples[j - 1], axis=1)
-            p = np.take(kr, row_tuple, axis=1)
-            p *= row_vals
-            starts = row_starts
-        else:
-            if block not in w_cache or w_cache[block][0] is not factors[0]:
-                w = np.take(ft[0], tuple_rows, axis=1)
-                w *= tuple_vals
-                w_cache[block] = factors[0], np.add.reduceat(w, tuple_starts, axis=1)
-            order_k, cols, starts, _ = trailing[k]
-            p = np.take(w_cache[block][1], order_k, axis=1)
-            for j in range(1, d):
-                if j != k:
-                    p *= np.take(ft[j], cols[j - 1], axis=1)
+            out = np.empty((kr.shape[0], row_ids.size))
+            for segments, tuple_at, vals_at, starts in mode0:
+                p = np.take(kr, tuple_at, axis=1)
+                p *= vals_at
+                out[:, segments] = np.add.reduceat(p, starts, axis=1)
+            return out
+        if block not in w_cache or w_cache[block][0] is not factors[0]:
+            w = np.take(ft[0], w_rows, axis=1)
+            w *= w_vals
+            w_cache[block] = factors[0], np.add.reduceat(w, w_starts, axis=1)
+        w_k, cols, starts, _ = trailing[k]
+        p = np.take(w_cache[block][1], w_k, axis=1)
+        for j in range(1, d):
+            if j != k:
+                p *= np.take(ft[j], cols[j - 1], axis=1)
         return np.add.reduceat(p, starts, axis=1)
 
     def mttkrp(factors, k):

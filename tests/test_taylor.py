@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import logging
 import math
 import multiprocessing
@@ -678,6 +679,46 @@ class TestStructuredPath:
             taylor.build_taylor_model(FakeSys(), "full")
 
 
+def _loop_expansion(entries, vals, order):
+    """The assembler's expansion as a loop over entries and permutations:
+    the oracle of its array form."""
+    coord_parts, value_parts = [], []
+    for (tup, rows), v in zip(entries, vals):
+        for perm in set(itertools.permutations(tup)):
+            block = np.empty((rows.size, order + 1), dtype=np.int64)
+            block[:, 0] = rows
+            block[:, 1:] = perm
+            coord_parts.append(block)
+            value_parts.append(v[rows])
+    return np.concatenate(coord_parts, axis=0), np.concatenate(value_parts)
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("case, order", [("ring5", 1), ("ring5", 2), ("ring5", 3),
+                                             ("wscc9", 2)])
+    def test_matches_the_loop(self, request, monkeypatch, case, order):
+        if case == "ring5":  # the Jacobian's entries, then the structured ones
+            sys_m = request.getfixturevalue("ring5_sys")
+            x0 = sys_m.x0
+            entries = ([((c,), np.arange(sys_m.n_states)) for c in range(sys_m.n_states)]
+                       if order == 1 else taylor._structured_tuples(sys_m, order))
+        else:  # the dense path's entries, in extended precision
+            sys_m = request.getfixturevalue("wscc_sys")
+            x0 = sys_m.x0.astype(np.longdouble)
+            cols = taylor.nonlinear_state_columns(sys_m).tolist()
+            entries = [(tup, np.arange(sys_m.n_states))
+                       for tup in itertools.combinations_with_replacement(cols, order)]
+        stencil, seen = taylor._multiset_values, []
+        monkeypatch.setattr(taylor, "_multiset_values",
+                            lambda *args: seen.append(stencil(*args)) or seen[-1])
+        coords, values = taylor._derivative_coo(taylor._prefault_batch(sys_m), x0, order,
+                                                entries, refine=False)
+        want_coords, want_values = _loop_expansion(entries, seen[0], order)
+        assert any(len(set(tup)) == order for tup, _ in entries)
+        assert _same_bytes(coords, want_coords)
+        assert _same_bytes(values, want_values)
+
+
 def _random_coo(dims, seed):
     """Random coordinate tensor whose slices 0 and dims[k] - 1 are empty in
     every mode; its trailing tuples carry different numbers of rows, and
@@ -732,6 +773,59 @@ class TestCooKernel:
             ref = _reference_mttkrp(dims, coords, values, factors, k)
             assert np.max(np.abs(mttkrp(factors, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(stale - mttkrp(factors, 2))) > 1e-3
+
+    @pytest.mark.parametrize("dims", [(7, 5, 5), (7, 5, 5, 5)], ids=["order3", "order4"])
+    def test_permutations_with_other_fibers(self, dims):
+        # every permutation of each multiset carries the sorted tuple's fiber,
+        # except some: other values on the same rows, a row more or less,
+        # the same rows in another order, a zero of the other sign, and a
+        # tuple whose sorted permutation holds no entry
+        rng = np.random.default_rng(len(dims))
+        fiber_rows = np.array([1, 4, 2, 5])
+        fiber_vals = rng.standard_normal(fiber_rows.size)
+        fiber_vals[2] = 0.0
+        fibers = {}
+        for tup in itertools.combinations_with_replacement(range(dims[1]), len(dims) - 1):
+            for perm in sorted(set(itertools.permutations(tup))):
+                fibers[perm] = (fiber_rows, fiber_vals.copy())
+        perms = [p for p in fibers if p != tuple(sorted(p))]
+        changed = [perms[i] for i in rng.choice(len(perms), 6, replace=False)]
+        fibers[changed[0]][1][0] += 1.0
+        fibers[changed[1]] = (fiber_rows[:-1], fiber_vals[:-1])
+        fibers[changed[2]] = (np.r_[fiber_rows, 6], np.r_[fiber_vals, 0.5])
+        fibers[changed[3]] = (fiber_rows[::-1], fiber_vals[::-1])
+        fibers[changed[4]][1][2] = -0.0
+        del fibers[tuple(sorted(changed[5]))]
+        coords = np.array([(r, *t) for t, (rows, _) in fibers.items() for r in rows])
+        values = np.concatenate([vals for _, vals in fibers.values()])
+        factors = [rng.standard_normal((n, 4)) for n in dims]
+        mttkrp = taylor._coo_mttkrp(dims, coords, values)
+        for k in range(len(dims)):
+            ref = _reference_mttkrp(dims, coords, values, factors, k)
+            assert np.max(np.abs(mttkrp(factors, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_mode0_blocks_keep_the_bytes(self, ring7_sys, monkeypatch):
+        coords, values = taylor._structured_coo(ring7_sys, 3)
+        dims = (ring7_sys.n_states,) * 4
+        rng = np.random.default_rng(3)
+        factors = [rng.standard_normal((n, 6)) for n in dims]
+        monkeypatch.setattr(taylor, "_MODE0_BLOCK", len(values))
+        whole = taylor._coo_mttkrp(dims, coords, values)(factors, 0)
+        monkeypatch.setattr(taylor, "_MODE0_BLOCK", 5)
+        assert _same_bytes(taylor._coo_mttkrp(dims, coords, values)(factors, 0), whole)
+
+    def test_empty_coordinate_list(self):
+        dims = (5, 5, 5)
+        coords, values = np.zeros((0, 3), np.int64), np.zeros(0)
+        factors = [np.ones((n, 2)) for n in dims]
+        mttkrp = taylor._coo_mttkrp(dims, coords, values)
+        for k in range(3):
+            assert _same_bytes(mttkrp(factors, k), np.zeros((5, 2)))
+        f = taylor._cp_als_coo(dims, coords, values, 2)
+        want = cp_decompose(Tensor(np.zeros(dims)), 2)
+        for a, b in zip([f.weights, f.fit_history, *f.factors],
+                        [want.weights, want.fit_history, *want.factors]):
+            assert _same_bytes(a, b)
 
 
 def _model_arrays(model):

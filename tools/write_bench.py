@@ -17,7 +17,10 @@ machine:
     level 1.0 with ranks picked by a rank search up to rank 4 over a
     3 s scenario, an observation), ``cct``
     (force_full and adaptive, bus 7) and ``sweep`` (bus 7) on ``wscc9``,
-    each a new process;
+    each a new process; the pinned ``ring:33`` build's per-order stencil
+    and ALS seconds, read from its ``metrics_<hash>.json``, are recorded
+    beside it as observations (``cli.build.ring33.order3.als_s`` and so
+    on);
   - both builds again with numpy's default BLAS threads, as in a default
     shell (observations beside the pinned timings, not claims);
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
@@ -156,8 +159,19 @@ def _cli(tree: Path, work: Path) -> dict:
         t = time.perf_counter()
         _run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(dest)], tree, env)
         out[name] = time.perf_counter() - t
+        if name == "cli.build.ring33_s":
+            out.update(_job_timings(dest, "cli.build.ring33"))
         shutil.rmtree(dest, ignore_errors=True)
     return out
+
+
+def _job_timings(dest: Path, prefix: str) -> dict:
+    """Each order's stencil and ALS seconds of a one-level build, from the
+    ``metrics_<hash>.json`` it wrote to ``dest``."""
+    (path,) = dest.glob("metrics_*.json")
+    (jobs,) = json.loads(path.read_text())["jobs"].values()
+    return {f"{prefix}.{order}.{key}": jobs[order][key]
+            for order in ("order2", "order3") for key in ("stencil_s", "als_s")}
 
 
 def _script(tree: Path, code: str) -> dict:
