@@ -32,7 +32,8 @@ def committed():
 
 def test_schema(tool, committed):
     assert committed["format"] == tool.FORMAT
-    assert set(committed) == {"format", "builds", "criterion10", "cct", "ring33", "criteria"}
+    assert set(committed) == {"format", "builds", "criterion10", "ring33_simulate", "cct",
+                              "ring33", "criteria"}
     assert set(committed["builds"]) == set(tool.BUILDS)
     for name, build in committed["builds"].items():
         assert set(build) == {"pinned", "default", "report"}, name
@@ -46,6 +47,13 @@ def test_schema(tool, committed):
     assert set(committed["criterion10"]) == set(tool.CRITERION10)
     assert {"models.npz", "build_report.json"} <= set(committed["criterion10"]["build"])
     assert "trajectory.csv" in committed["criterion10"]["simulate"]
+    assert set(committed["ring33_simulate"]) == {f"bus{bus}/{t_clear}"
+                                                 for bus, t_clear in tool.RING33_SIMULATE}
+    for runs in committed["ring33_simulate"].values():
+        assert set(runs) == set(tool.RING33_SIMULATE_MODES)
+        for hashes in runs.values():
+            assert set(hashes) == {"trajectory.csv", "switch_log.jsonl", "simulate_report.json"}
+            assert all(HEX64.fullmatch(h) for h in hashes.values())
     pairs = {f"{lv:.2f}/bus{bus}" for lv in tool.WSCC9_LEVELS for bus in tool.WSCC9_BUSES}
     assert len(pairs) == 81
     for mode in ("force_full", "adaptive"):

@@ -17,6 +17,12 @@ The file holds no timings.  It records:
 * ``criterion10``: the SHA-256 of each payload file of acceptance
   criterion 10's ``simulate`` and ``build`` runs (seed 42), measurement
   files left out;
+* ``ring33_simulate``: the SHA-256 of each payload file of ``tensorsim
+  simulate`` on ``ring:33`` with the pinned ``ring:33`` build's
+  ``models.npz``, in force_full, adaptive and force_hybrid mode, for
+  faults at buses 1, 9 and 17 cleared at 0.30, 0.70 and 0.50 s (the
+  bus-17 adaptive and force_hybrid runs blow up at step 68, so their
+  trajectories end early), measurement files left out;
 * ``cct``: the :class:`tensorsim.study.CctResult` of every ``wscc9``
   (level, bus) pair, levels 0.80-1.20 by 0.05 and buses 1-9, in
   force_full mode and in adaptive mode with the acceptance model set:
@@ -68,6 +74,10 @@ CRITERION10 = {
     "build": ["build", "--system", "wscc9", "--levels", "0.8,1.0", "--ranks", "6,6",
               "--seed", "42"],
 }
+# (fault bus, clearing time) of the ring:33 simulate runs, each in every mode
+# of RING33_SIMULATE_MODES with the pinned ring:33 build's model set
+RING33_SIMULATE = ((1, "0.30"), (9, "0.70"), (17, "0.50"))
+RING33_SIMULATE_MODES = ("force_full", "adaptive", "force_hybrid")
 MEASUREMENTS = ("compare_times_", "metrics_")
 # what a build report says about its models, beside the files' hashes
 REPORT_KEYS = ("ranks", "fits", "iterations", "converged", "rank_search")
@@ -93,17 +103,17 @@ def payload_hashes(outdir: Path) -> dict:
             if f.is_file() and not f.name.startswith(MEASUREMENTS)}
 
 
-def _run(cmd, env) -> str:
-    """The standard output of ``cmd``, run in the repo root; a failure
-    raises with the end of its standard error."""
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+def _run(cmd, env, cwd=ROOT) -> str:
+    """The standard output of ``cmd``, run in ``cwd``; a failure raises
+    with the end of its standard error."""
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return proc.stdout
 
 
-def _cli(argv, outdir: Path, env) -> dict:
-    _run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(outdir)], env)
+def _cli(argv, outdir: Path, env, cwd=ROOT) -> dict:
+    _run([sys.executable, "-m", "tensorsim.cli", *argv, "--out", str(outdir)], env, cwd)
     return payload_hashes(outdir)
 
 
@@ -238,7 +248,21 @@ def _builds(work: Path) -> dict:
         build["report"] = {key: report[key] for key in REPORT_KEYS if key in report}
     for name, argv in CRITERION10.items():
         out["criterion10"][name] = _cli(argv, work / f"criterion10_{name}", PINNED_ENV)
+    out["ring33_simulate"] = {
+        f"bus{bus}/{t_clear}": {mode: _ring33_simulate(work, bus, t_clear, mode)
+                                for mode in RING33_SIMULATE_MODES}
+        for bus, t_clear in RING33_SIMULATE}
     return out
+
+
+def _ring33_simulate(work: Path, bus: int, t_clear: str, mode: str) -> dict:
+    """Payload hashes of one ``ring:33`` simulate run on the pinned build's
+    model set.  It runs in ``work`` and names the set by a relative path,
+    which the configuration hash in every payload includes."""
+    argv = ["simulate", "--system", "ring:33", "--models", "ring33_pinned/models.npz",
+            "--levels", "1.0", "--ranks", "16,12", "--fault-bus", str(bus),
+            "--t-clear", t_clear, "--mode", mode]
+    return _cli(argv, work / f"ring33_simulate_bus{bus}_{mode}", PINNED_ENV, work)
 
 
 def fingerprint() -> dict:
