@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -324,14 +325,19 @@ def _cmd_simulate(args, outdir, cfg_hash):
     spec = _load_spec(args.system)
     scn = _scenario(args)
     policy = _policy(args)
+    marks = [time.perf_counter()]  # after each phase: system, models, stepping, export
     sys_m = pm.build_system(spec, scn.load_level)
+    marks.append(time.perf_counter())
     ms = None
     if policy.mode != "force_full":
         ms = _model_set(args, sys_m)
+    marks.append(time.perf_counter())
     traj = sim.run_adaptive(sys_m, ms, scn, policy, args.dt)
+    marks.append(time.perf_counter())
     meta = _meta(cfg_hash, args.seed)
     sim.export_trajectory_csv(traj, sys_m, outdir / "trajectory.csv", meta)
     sim.export_switch_log(traj, outdir / "switch_log.jsonl", meta)
+    marks.append(time.perf_counter())
     report = dict(meta)
     report.update(
         command="simulate",
@@ -344,6 +350,11 @@ def _cmd_simulate(args, outdir, cfg_hash):
                   "load_level": scn.load_level},
     )
     st.write_json(outdir / "simulate_report.json", report)
+    # measured wall times, outside the byte-identity guarantee
+    st.write_json(outdir / f"metrics_{cfg_hash}.json",
+                  dict(meta, command="simulate", steps=traj.n_steps,
+                       phases=dict(zip(("system_s", "models_s", "stepping_s", "export_s"),
+                                       np.diff(marks).tolist()))))
     return EXIT_OK
 
 

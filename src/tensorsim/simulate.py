@@ -43,6 +43,7 @@ import numpy as np
 from . import power_model as pm
 from .taylor import (
     ModelSet,
+    _thread_pool,
     hybrid_rhs,
     hybrid_rows,
     linear_rhs,
@@ -526,20 +527,156 @@ class ClearingProbes:
                          not in ("blowup", "unstable"))
 
 
+# The trajectory writer prints each value as C's ``%.17g`` would, a block of
+# rows at a time.  A value v = ±m·10^(X−16), m a 17-digit integer, takes one
+# 40-byte record: the sign and, for X < 0, "0." and -X - 1 zeros in bytes
+# 0-5, then digit j of m in byte 2j + 6 with byte 2j + 7 free for a point,
+# byte 39 taking the separator.  A byte left 0 is no character, so one
+# deletion of the zero bytes turns the records into the text.  A value that
+# is not finite, needs exponent notation (X < -4 or X > 16) or whose 17th
+# digit may round the other way than the exact value's goes through
+# Python's ``'%.17g' % v``.
+_CSV_BLOCK = 32  # rows per formatted block; the bytes do not depend on it
+_RECORD = 40
+
+
+def _decade(k: int) -> float:
+    """The smallest double not below 10^k."""
+    d = float(f"1e{k}")
+    num, den = d.as_integer_ratio()
+    return d if num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0) else float(np.nextafter(d, np.inf))
+
+
+# |v| >= _DECADE[X + 5] exactly when |v| >= 10^X, for X in -5..18
+_DECADE = np.array([_decade(k) for k in range(-5, 19)])
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # 10^k, exact in double and longdouble
+_POW10_LD = _POW10.astype(np.longdouble)
+# an upper bound of the rounding error of |v|·10^k in longdouble, per |v|
+_BAND = _POW10 * np.finfo(np.longdouble).eps
+# record bytes 0-7 by sign, X and the first digit d: _HEAD[(21 * sign + X + 4) * 10 + d]
+_HEAD = np.array([(sign + ("0." + "0" * (-x - 1) if x < 0 else "")).encode().ljust(6, b"\0")
+                  + b"%d\0" % d for sign in ("", "-") for x in range(-4, 17) for d in range(10)]
+                 ).view(np.uint64)
+
+
+def _group_tables():
+    """``_PAIRS[q * 10000 + g]``: the four digits of g < 10^4 at every other
+    byte, the byte after each free, the first q of them only; and
+    ``_LAST[i, g]``: the position in m of the last non-zero digit of g as
+    m's group i, which starts at digit _GROUP_FIRST[i], or 0."""
+    digits = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    pairs = np.zeros((5, 10000, 8), dtype=np.uint8)
+    pairs[:, :, ::2] = np.where(np.arange(4) < np.arange(5)[:, None, None], digits + ord("0"), 0)
+    last = np.where(digits != 0, np.arange(4), -1).max(axis=1)
+    last = np.where(last >= 0, _GROUP_FIRST[:, None] + last, 0)
+    return pairs.view(np.uint64).ravel(), last.astype(np.int8)
+
+
+_GROUP_FIRST = np.array([1, 5, 9, 13])
+_PAIRS, _LAST = _group_tables()
+# q * 10000 for group i when digits 0 to c of m are printed: _KEEP[i, c]
+_KEEP = np.clip(np.arange(17) - _GROUP_FIRST[:, None] + 1, 0, 4) * 10000
+
+
+def _g17_digits(v: np.ndarray):
+    """``(X, m, slow)`` of the values ``v``: each finite non-zero one that
+    ``%.17g`` prints without an exponent is ±m·10^(X−16), m its 17 digits
+    (0 for a zero, X = 0); ``slow`` marks the others, and those whose m the
+    product below cannot be trusted to round as the exact value does.
+
+    m is ``|v|·10^(16−X)`` rounded half to even, the product taken in
+    ``np.longdouble``, where every power used is exact.  A product within
+    its rounding error (from ``np.finfo(np.longdouble)``) of a tie is
+    marked slow, so where ``longdouble`` is ``double`` every value is."""
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    zero = a == 0
+    a[~finite | zero] = 1.0
+    x = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.int64)
+    x += (a >= _DECADE[x + 6]).astype(np.int64) - (a < _DECADE[x + 5])
+    slow = (x < -4) | (x > 16) | ~finite
+    a[slow] = 1.0
+    x[slow] = 0
+    k = 16 - x
+    p = a.astype(np.longdouble)
+    p *= _POW10_LD[k]
+    n = np.rint(p)
+    m = n.astype(np.int64)
+    p -= n  # what the rounding dropped, exactly
+    a *= _BAND[k]
+    # a tie within the rounding error, or a 17th digit rounded up to 10^17
+    slow |= (0.5 - np.abs(p.astype(float)) <= a) | (m >= 10 ** 17)
+    m[zero | slow] = 0
+    return x, m, slow
+
+
+def _split(n: np.ndarray, unit: int):
+    """``divmod(n, unit)``, with numpy's ``//`` by a constant, which is
+    several times faster than its ``%`` and ``divmod``."""
+    q = n // unit
+    return q, n - q * unit
+
+
+def _g17_records(rows: np.ndarray) -> np.ndarray:
+    """The ``(values, 40)`` records of ``rows``, the values marked slow by
+    :func:`_g17_digits` formatted by Python."""
+    v = np.ascontiguousarray(rows, dtype=float).ravel()
+    x, m, slow = _g17_digits(v)
+    # m as its first digit and four groups of four; every integer digit is
+    # printed, fraction digits up to the last non-zero one
+    hi, lo = _split(m, 10 ** 8)
+    d0, hi = _split(hi, 10 ** 8)
+    groups = (*_split(hi, 10 ** 4), *_split(lo, 10 ** 4))
+    last = np.maximum(np.maximum(_LAST[0][groups[0]], _LAST[1][groups[1]]),
+                      np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
+    keep = np.maximum(x, last)
+    words = np.empty((v.size, _RECORD // 8), dtype=np.uint64)
+    words[:, 0] = _HEAD[(np.signbit(v) * 21 + x + 4) * 10 + d0]
+    for i, g in enumerate(groups):
+        words[:, i + 1] = _PAIRS[_KEEP[i][keep] + g]
+    record = words.view(np.uint8).reshape(v.size, _RECORD)
+    point = np.flatnonzero((x >= 0) & (last > x))
+    record.reshape(-1)[point * _RECORD + 2 * x[point] + 7] = ord(".")
+    record[:, -1] = ord(",")
+    record.reshape(len(rows), -1, _RECORD)[:, -1, -1] = ord("\n")
+
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = np.array(["%.17g" % f for f in v[slow].tolist()], dtype=f"S{_RECORD - 1}")
+        record[slow, :-1] = text.view(np.uint8).reshape(slow.size, _RECORD - 1)
+    return record
+
+
+def _g17_rows(rows: np.ndarray) -> bytes:
+    """The bytes ``np.savetxt(fh, rows, fmt="%.17g", delimiter=",")``
+    writes: the records of ``rows`` without their zero bytes."""
+    return _g17_records(rows).tobytes().translate(None, b"\0")
+
+
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:
     """CSV export: one comment line with provenance, a header of
-    ``time,<machine>.<state>`` columns, then one row per step at full
-    float precision."""
+    ``time,<machine>.<state>`` columns, then one row per step, each value
+    as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted on a
+    :func:`tensorsim.taylor._thread_pool` of ``min(blocks, CPUs)`` threads
+    (numpy releases the GIL in its loops) and written in order, a pool's
+    worth at a time; the bytes are those of ``np.savetxt(fmt="%.17g")``
+    whatever the block size or thread count."""
     from . import __version__
 
     meta = meta or {}
     labels = pm.state_labels(sys.machines)
-    with open(path, "w") as fh:
+    data = np.column_stack([traj.times, traj.states])
+    lows = range(0, len(data), _CSV_BLOCK)
+
+    def block(lo):
+        return _g17_rows(data[lo:lo + _CSV_BLOCK])
+
+    with open(path, "wb") as fh, _thread_pool(len(lows)) as pool:
         tags = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        fh.write(f"# tensorsim {__version__} format={TRAJECTORY_FORMAT} {tags}".rstrip() + "\n")
-        fh.write("time," + ",".join(labels) + "\n")
-        data = np.column_stack([traj.times, traj.states])
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+        fh.write((f"# tensorsim {__version__} format={TRAJECTORY_FORMAT} {tags}".rstrip() + "\n"
+                  + "time," + ",".join(labels) + "\n").encode())
+        for at in range(0, len(lows), pool.size):
+            fh.writelines(pool.map(block, lows[at:at + pool.size]))
 
 
 def export_switch_log(traj: Trajectory, path, meta: dict | None = None) -> None:

@@ -307,6 +307,23 @@ class TestSimulate:
         head = (out / "trajectory.csv").read_text().splitlines()[0]
         assert report["config_hash"] in head
 
+    def test_phase_metrics(self, tmp_path):
+        # measured phase seconds and the step count, in a file of their own
+        out = tmp_path / "run"
+        code = run_cli(["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+                        "--t-end", "0.5", "--out", out, *FAST])
+        assert code == 0
+        report = json.loads((out / "simulate_report.json").read_text())
+        (path,) = out.glob("metrics_*.json")
+        assert path.name == f"metrics_{report['config_hash']}.json"
+        metrics = json.loads(path.read_text())
+        assert metrics["command"] == "simulate"
+        assert metrics["config_hash"] == report["config_hash"]
+        assert metrics["steps"] == report["steps"] == 50
+        phases = metrics["phases"]
+        assert set(phases) == {"system_s", "models_s", "stepping_s", "export_s"}
+        assert all(isinstance(s, float) and s >= 0 for s in phases.values())
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({

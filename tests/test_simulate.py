@@ -1,12 +1,17 @@
+import io
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from tensorsim import power_model as pm
 from tensorsim import simulate as sim
-from tensorsim import study
+from tensorsim import study, taylor
 from tensorsim.taylor import ModelSet
 
 
@@ -406,7 +411,73 @@ class TestSettledExit:
         assert ref.states[1, 0] == 0.0 and ref.states[-1, 0] > 0.0
 
 
+def _savetxt(data) -> bytes:
+    """The oracle: what ``np.savetxt`` writes for ``data`` at ``%.17g``."""
+    fh = io.BytesIO()
+    np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+    return fh.getvalue()
+
+
+def _csv_body(path) -> bytes:
+    """A trajectory file's rows, after its comment and header lines."""
+    return path.read_bytes().split(b"\n", 2)[2]
+
+
+def _decimal_tie(v: float) -> bool:
+    """Whether ``v``'s exact decimal expansion has 18 significant digits,
+    the last a 5: a tie at the 17th digit."""
+    digits = Decimal(v).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+_BITS = hs.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+_SPECIAL = hs.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 1e-4, 1e17, -0.5])
+
+
 class TestExports:
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(hs.one_of(_BITS, hs.floats(), _SPECIAL), min_size=1, max_size=60),
+           hs.integers(1, 6))
+    def test_any_doubles_match_savetxt(self, values, cols):
+        # every bit pattern: NaN, infinities, signed zeros, subnormals
+        data = np.resize(np.array(values), (-(-len(values) // cols), cols))
+        assert sim._g17_rows(data) == _savetxt(data)
+
+    def test_decades_and_neighbours(self):
+        values = []
+        for k in range(-6, 21):
+            ten = float(f"1e{k}")
+            # the decimal string just below parses onto the decade
+            near = float(f"9.99999999999999999e{k - 1}")
+            values += [ten, np.nextafter(ten, 0), np.nextafter(ten, math.inf), near,
+                       np.nextafter(near, 0), np.nextafter(np.nextafter(ten, 0), 0)]
+        data = np.array(values + [-v for v in values]).reshape(-1, 6)
+        assert sim._g17_rows(data) == _savetxt(data)
+
+    def test_short_decimals(self):
+        values = [0.5, 0.25, 0.1, 0.2, 0.3, 1.0, 2.0, 10.0, 100.0, 123.456, 0.001, 0.0001,
+                  0.00012, 1234567.125, 1e15, 1e16 + 2, 5e16, 9.9e16, 1.6300000000000001,
+                  0.84999999999999953]
+        values += (np.arange(-50, 51) * 0.05).tolist() + (np.arange(1, 200) * 1e-4).tolist()
+        data = np.array(values)[:, None]
+        assert sim._g17_rows(data) == _savetxt(data)
+
+    def test_ties_at_the_17th_digit(self):
+        # q / 2^(17 - X) for odd q has exactly 17 - X decimals, so 18
+        # significant digits ending in 5: half to even decides the 17th
+        values = [q / 2.0 ** (17 - x) for x in range(-4, 16)
+                  for q in range(math.ceil(Fraction(10) ** x * 2 ** (17 - x)) | 1, 1 << 53, 2)[:40]]
+        assert len(values) == 800 and all(_decimal_tie(v) for v in values)
+        data = np.array(values + [-v for v in values])[:, None]
+        assert sim._g17_rows(data) == _savetxt(data)
+
+    def test_time_column(self):
+        times = np.arange(1601) * 0.01
+        data = np.column_stack([times, np.sin(times)])
+        assert sim._g17_rows(times[:, None]) == _savetxt(times[:, None])
+        assert sim._g17_rows(data) == _savetxt(data)
+
     def test_trajectory_csv(self, tmp_path, wscc_sys):
         pol = sim.SwitchPolicy(mode="force_full")
         scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.2)
@@ -419,9 +490,28 @@ class TestExports:
         header = lines[1].split(",")
         assert header[0] == "time" and header[1] == "G1.delta"
         assert len(lines) == 2 + len(traj.times)
-        data = np.loadtxt(p, delimiter=",", skiprows=2)
-        assert np.array_equal(data[:, 0], traj.times)
-        assert np.array_equal(data[:, 1:], traj.states)
+        assert _csv_body(p) == _savetxt(np.column_stack([traj.times, traj.states]))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_blocks_and_threads(self, tmp_path, wscc_sys, monkeypatch, block, cpus):
+        # the bytes depend on neither the block size nor the thread count
+        scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.2)
+        traj = sim.run_adaptive(wscc_sys, None, scn, sim.SwitchPolicy(mode="force_full"))
+        monkeypatch.setattr(sim, "_CSV_BLOCK", block or len(traj.times))
+        monkeypatch.setattr(taylor, "_cpu_count", lambda: cpus)
+        p = tmp_path / "traj.csv"
+        sim.export_trajectory_csv(traj, wscc_sys, p)
+        assert _csv_body(p) == _savetxt(np.column_stack([traj.times, traj.states]))
+
+    def test_one_row_trajectory(self, tmp_path, wscc_sys):
+        # a fault cleared at once over a zero horizon: the initial state only
+        scn = sim.Scenario(fault_bus=7, t_clear=0.0, t_end=0.0)
+        traj = sim.run_adaptive(wscc_sys, None, scn, sim.SwitchPolicy(mode="force_full"))
+        assert len(traj.times) == 1
+        p = tmp_path / "traj.csv"
+        sim.export_trajectory_csv(traj, wscc_sys, p)
+        assert _csv_body(p) == _savetxt(np.column_stack([traj.times, traj.states]))
 
     def test_switch_log_jsonl(self, tmp_path, wscc_sys, wscc_model_set):
         import json

@@ -21,6 +21,10 @@ machine:
     and ALS seconds, read from its ``metrics_<hash>.json``, are recorded
     beside it as observations (``cli.build.ring33.order3.als_s`` and so
     on);
+  - ``simulate`` on ``ring:33`` in force_full, adaptive and force_hybrid
+    mode (bus 1 cleared at 0.30 s, on the pinned ``ring:33`` build's
+    ``models.npz``), and on ``wscc9`` (bus 7 cleared at 0.1 s, building a
+    level-1.0 model set of ranks (8, 8)), each a new process;
   - both builds again with numpy's default BLAS threads, as in a default
     shell (observations beside the pinned timings, not claims);
   - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
@@ -32,6 +36,9 @@ machine:
     build's workers and more than any CLI command starts: ``ring:33``
     seeds 7, 8 and 9 at level 1.0 and ranks (16, 12), in one
     ``taylor._build_models`` call (an observation);
+  - in one process, the best of three ``simulate.export_trajectory_csv``
+    calls on one full-horizon ``ring:33`` force_full trajectory (bus 1
+    cleared at 0.30 s, 1,601 rows of 298 values);
 * the wall time of the tier-1 suite, once per side, with its summary
   line and pytest's ``-rf`` line of each failed test.
 
@@ -73,7 +80,13 @@ CLI_RUNS = {
     "cli.cct.force_full_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "force_full"],
     "cli.cct.adaptive_s": ["cct", "--system", "wscc9", "--fault-bus", "7", "--mode", "adaptive"],
     "cli.sweep_s": ["sweep", "--system", "wscc9", "--fault-bus", "7"],
+    "cli.simulate.wscc9_s": ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",
+                             "--levels", "1.0", "--ranks", "8,8"],
 }
+# after the pinned ring:33 build, on its models.npz, one per mode
+RING33_SIMULATE = ["simulate", "--system", "ring:33", "--levels", "1.0", "--ranks", "16,12",
+                   "--fault-bus", "1", "--t-clear", "0.30"]
+RING33_SIMULATE_MODES = ("force_full", "adaptive", "force_hybrid")
 # timed with numpy's default BLAS threads instead
 CLI_DEFAULT_BLAS_RUNS = {"cli.build.wscc9_default_s": CLI_RUNS["cli.build.wscc9_s"],
                          "cli.build.ring33_default_s": CLI_RUNS["cli.build.ring33_s"]}
@@ -110,6 +123,23 @@ models, _ = ty._build_models(systems, (16, 12), 0, None)
 elapsed = time.perf_counter() - t
 assert all(isinstance(m, ty.TaylorModel) for m in models.values()), models
 print(json.dumps({"build.ring33_six_jobs_s": elapsed}))
+"""
+# run in a side's tree: the best of three exports of one full-horizon
+# ring:33 force_full trajectory (1,601 rows of 298 values)
+EXPORT = r"""
+import json, os, tempfile, time
+from tensorsim import cases, power_model as pm, simulate as sim
+ring = pm.build_system(cases.synthetic_ring_spec(33, seed=7), 1.0)
+traj = sim.run_adaptive(ring, None, sim.Scenario(fault_bus=1, t_clear=0.30),
+                        sim.SwitchPolicy(mode="force_full"))
+assert traj.states.shape == (1601, 297), traj.states.shape
+best = float("inf")
+with tempfile.TemporaryDirectory() as tmp:
+    for _ in range(3):
+        t = time.perf_counter()
+        sim.export_trajectory_csv(traj, ring, os.path.join(tmp, "trajectory.csv"), {})
+        best = min(best, time.perf_counter() - t)
+print(json.dumps({"export.ring33_csv_s": best}))
 """
 
 
@@ -161,6 +191,20 @@ def _cli(tree: Path, work: Path) -> dict:
         out[name] = time.perf_counter() - t
         if name == "cli.build.ring33_s":
             out.update(_job_timings(dest, "cli.build.ring33"))
+            out.update(_ring33_simulate(dest / "models.npz", work, env))
+        shutil.rmtree(dest, ignore_errors=True)
+    return out
+
+
+def _ring33_simulate(models: Path, work: Path, env) -> dict:
+    """Each mode's ``simulate`` on ``ring:33`` with the model set ``models``."""
+    out = {}
+    for mode in RING33_SIMULATE_MODES:
+        dest = work / f"simulate_{mode}"
+        t = time.perf_counter()
+        _run([sys.executable, "-m", "tensorsim.cli", *RING33_SIMULATE, "--models", str(models),
+              "--mode", mode, "--out", str(dest)], models.parent, env)
+        out[f"cli.simulate.ring33.{mode}_s"] = time.perf_counter() - t
         shutil.rmtree(dest, ignore_errors=True)
     return out
 
@@ -258,7 +302,8 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
                 values = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
-                          **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS)}
+                          **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS),
+                          **_script(trees[side], EXPORT)}
                 runs.append({"side": side, "pair": k, "values": values})
                 print(f"pair {k} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
         for side in SIDES:
