@@ -564,15 +564,17 @@ def _group_tables():
     byte, the byte after each free, the first q of them only; and
     ``_LAST[i, g]``: the position in m of the last non-zero digit of g as
     m's group i, which starts at digit _GROUP_FIRST[i], or 0."""
-    digits = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = (np.arange(10000, dtype=np.int16)[:, None] // place % 10).astype(np.uint8)
     pairs = np.zeros((5, 10000, 8), dtype=np.uint8)
-    pairs[:, :, ::2] = np.where(np.arange(4) < np.arange(5)[:, None, None], digits + ord("0"), 0)
-    last = np.where(digits != 0, np.arange(4), -1).max(axis=1)
-    last = np.where(last >= 0, _GROUP_FIRST[:, None] + last, 0)
-    return pairs.view(np.uint64).ravel(), last.astype(np.int8)
+    for q in range(1, 5):
+        pairs[q, :, :2 * q:2] = digits[:, :q] + ord("0")
+    last = np.where(digits != 0, np.arange(4, dtype=np.int8), -1).max(axis=1)
+    last = np.where(last >= 0, _GROUP_FIRST[:, None] + last, 0).astype(np.int8)
+    return pairs.view(np.uint64).ravel(), last
 
 
-_GROUP_FIRST = np.array([1, 5, 9, 13])
+_GROUP_FIRST = np.array([1, 5, 9, 13], dtype=np.int8)
 _PAIRS, _LAST = _group_tables()
 # q * 10000 for group i when digits 0 to c of m are printed: _KEEP[i, c]
 _KEEP = np.clip(np.arange(17) - _GROUP_FIRST[:, None] + 1, 0, 4) * 10000
