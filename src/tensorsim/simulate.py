@@ -538,10 +538,11 @@ class ClearingProbes:
 # Python's ``'%.17g' % v``.
 # Rows per formatted block; the bytes do not depend on it.  Larger blocks
 # pay for fewer numpy calls, but their work arrays leave more freed memory
-# in malloc's heaps: with 32-row blocks the ring33_cli process peaked 3 MB
-# higher than with 8-row ones, which format a 1,601 x 298 file about 30 %
-# slower.
-_CSV_BLOCK = 8
+# in malloc's heaps: running the ring33_cli ops and checks in one process
+# peaked about 1.5 MB higher with 32-row blocks than with 16-row ones,
+# while 8-row ones wrote a 1,601 x 298 file at 0.16-0.18 s, against
+# 0.08-0.10 s for 16 or 32.
+_CSV_BLOCK = 16
 _RECORD = 40
 
 
