@@ -656,8 +656,9 @@ def _g17_records(rows: np.ndarray) -> np.ndarray:
 
 
 def _g17_rows(rows: np.ndarray) -> bytes:
-    """The bytes ``np.savetxt(fh, rows, fmt="%.17g", delimiter=",")``
-    writes: the records of ``rows`` without their zero bytes."""
+    """``rows`` as text, one line per row and each value as ``%.17g``
+    with a comma between: the records of ``rows`` without their zero
+    bytes."""
     return _g17_records(rows).tobytes().translate(None, b"\0")
 
 
@@ -667,8 +668,8 @@ def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dic
     as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted on a
     :func:`tensorsim.taylor._thread_pool` of ``min(blocks, CPUs)`` threads
     (numpy releases the GIL in its loops) and written in order, a pool's
-    worth at a time; the bytes are those of ``np.savetxt(fmt="%.17g")``
-    whatever the block size or thread count."""
+    worth at a time; the bytes do not depend on the block size or the
+    thread count."""
     from . import __version__
 
     meta = meta or {}
