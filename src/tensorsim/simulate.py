@@ -43,7 +43,6 @@ import numpy as np
 from . import power_model as pm
 from .taylor import (
     ModelSet,
-    _thread_pool,
     hybrid_rhs,
     hybrid_rows,
     linear_rhs,
@@ -536,13 +535,17 @@ class ClearingProbes:
 # is not finite, needs exponent notation (X < -4 or X > 16) or whose 17th
 # digit may round the other way than the exact value's goes through
 # Python's ``'%.17g' % v``.
-# Rows per formatted block; the bytes do not depend on it.  Larger blocks
-# pay for fewer numpy calls, but their work arrays leave more freed memory
-# in malloc's heaps: running the ring33_cli ops and checks in one process
-# peaked about 1.5 MB higher with 32-row blocks than with 16-row ones,
-# while 8-row ones wrote a 1,601 x 298 file at 0.16-0.18 s, against
-# 0.08-0.10 s for 16 or 32.
-_CSV_BLOCK = 16
+#
+# A file is formatted on the calling thread, so the order of its
+# allocations, and with it the state it leaves malloc's heap in, is the
+# same from one run to the next.  Blocks mapped on a thread pool wrote the
+# same bytes no faster (most of a block's numpy calls are short and hold
+# the GIL) but made the heap vary: the ring33_cli benchmark, which parses
+# every file it has the CLI write, then peaked at 103 MB in some runs and
+# at 109-118 MB in others (2 cores).  The work arrays of a file are made
+# once, by one :class:`_G17Work`, and every numpy call of a block writes
+# into them, so a block allocates only its text.
+_CSV_BLOCK = 16  # rows per formatted block; the bytes do not depend on it
 _RECORD = 40
 
 
@@ -586,106 +589,196 @@ _PAIRS, _LAST = _group_tables()
 _KEEP = np.clip(np.arange(17) - _GROUP_FIRST[:, None] + 1, 0, 4) * 10000
 
 
-def _g17_digits(v: np.ndarray):
-    """``(X, m, slow)`` of the values ``v``: each finite non-zero one that
-    ``%.17g`` prints without an exponent is ±m·10^(X−16), m its 17 digits
-    (0 for a zero, X = 0); ``slow`` marks the others, and those whose m the
-    product below cannot be trusted to round as the exact value does.
-
-    m is ``|v|·10^(16−X)`` rounded half to even, the product taken in
-    ``np.longdouble``, where every power used is exact.  A product within
-    its rounding error (from ``np.finfo(np.longdouble)``) of a tie is
-    marked slow, so where ``longdouble`` is ``double`` every value is."""
-    a = np.abs(v)
-    finite = np.isfinite(a)
-    zero = a == 0
-    a[~finite | zero] = 1.0
-    x = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.int64)
-    x += (a >= _DECADE[x + 6]).astype(np.int64) - (a < _DECADE[x + 5])
-    slow = (x < -4) | (x > 16) | ~finite
-    a[slow] = 1.0
-    x[slow] = 0
-    k = 16 - x
-    p = a.astype(np.longdouble)
-    p *= _POW10_LD[k]
-    n = np.rint(p)
-    m = n.astype(np.int64)
-    p -= n  # what the rounding dropped, exactly
-    a *= _BAND[k]
-    # a tie within the rounding error, or a 17th digit rounded up to 10^17
-    slow |= (0.5 - np.abs(p.astype(float)) <= a) | (m >= 10 ** 17)
-    m[zero | slow] = 0
-    return x, m, slow
+def _split(n: np.ndarray, unit: int, q: np.ndarray, r: np.ndarray) -> None:
+    """``q, r = divmod(n, unit)`` in place, with numpy's ``//`` by a
+    constant, which is several times faster than its ``%`` and ``divmod``."""
+    np.floor_divide(n, unit, out=q)
+    np.multiply(q, unit, out=r)
+    np.subtract(n, r, out=r)
 
 
-def _split(n: np.ndarray, unit: int):
-    """``divmod(n, unit)``, with numpy's ``//`` by a constant, which is
-    several times faster than its ``%`` and ``divmod``."""
-    q = n // unit
-    return q, n - q * unit
+class _G17Work:
+    """The work arrays for formatting blocks of up to ``size`` values as
+    text, :meth:`text` formatting one block.
+
+    A block of n values uses the first n items of each array.  Table
+    lookups use ``np.take`` in ``clip`` mode, which writes straight into
+    its ``out`` (the indices are always in range); the records are a
+    view of the ``bytearray`` whose zero bytes :meth:`text` deletes."""
+
+    def __init__(self, size: int):
+        size = max(size, 1)
+
+        def arrays(dtype, count):
+            return [np.empty(size, dtype) for _ in range(count)]
+
+        self.v, self.a, self.f = arrays(float, 3)
+        self.p, self.rounded, self.power = arrays(np.longdouble, 3)
+        self.x, self.i, self.m, self.hi, self.lo, self.d0, self.mid, self.keep = arrays(np.int64, 8)
+        self.groups = np.empty((4, size), np.int64)
+        self.finite, self.zero, self.slow, self.b, self.c = arrays(bool, 5)
+        self.last, self.l8 = arrays(np.int8, 2)
+        self.u = np.empty(size, np.uint64)
+        self.u8 = np.empty(size, np.uint8)
+        self.text_bytes = bytearray(size * _RECORD)
+        self.record = np.frombuffer(self.text_bytes, np.uint8).reshape(size, _RECORD)
+        self.point_at = np.arange(size) * _RECORD + 7  # byte 7 of each record
+
+    def text(self, times: np.ndarray, states: np.ndarray) -> bytearray:
+        """The rows ``[t, *x]`` of ``times`` and ``states`` as text, one
+        line per row and each value as ``%.17g`` with a comma between."""
+        rows, n = len(times), len(times) * (1 + states.shape[1])
+        block = self.v[:n].reshape(rows, -1)
+        block[:, 0] = times
+        block[:, 1:] = states
+        self._digits(n)
+        record = self._records(n)
+        record.reshape(rows, -1)[:, -1] = ord("\n")
+        self.record[n:] = 0  # no text from an earlier, larger block
+        return self.text_bytes.translate(None, b"\0")
+
+    def _digits(self, n: int) -> None:
+        """``x``, ``m`` and ``slow`` of the first ``n`` values ``v``: each
+        finite non-zero one that ``%.17g`` prints without an exponent is
+        ±m·10^(x−16), m its 17 digits (0 for a zero, x = 0); ``slow`` marks
+        the others, and those whose m the product below cannot be trusted
+        to round as the exact value does.
+
+        m is ``|v|·10^(16−x)`` rounded half to even, the product taken in
+        ``np.longdouble``, where every power used is exact.  A product
+        within its rounding error (from ``np.finfo(np.longdouble)``) of a
+        tie is marked slow, so where ``longdouble`` is ``double`` every
+        value is."""
+        v, a, f, x, i, m = self.v[:n], self.a[:n], self.f[:n], self.x[:n], self.i[:n], self.m[:n]
+        finite, zero, slow, b = self.finite[:n], self.zero[:n], self.slow[:n], self.b[:n]
+        p, rounded, power = self.p[:n], self.rounded[:n], self.power[:n]
+        np.abs(v, out=a)
+        np.isfinite(a, out=finite)
+        np.equal(a, 0, out=zero)
+        np.logical_not(finite, out=b)
+        b |= zero
+        np.copyto(a, 1.0, where=b)
+        np.log10(a, out=f)
+        np.floor(f, out=f)
+        np.clip(f, -5, 17, out=f)
+        np.copyto(x, f, casting="unsafe")
+        # x + 1 when |v| reaches 10^(x+1), x - 1 when it falls short of 10^x
+        np.add(x, 6, out=i)
+        np.take(_DECADE, i, out=f, mode="clip")
+        np.greater_equal(a, f, out=b)
+        i -= 1
+        np.take(_DECADE, i, out=f, mode="clip")
+        np.less(a, f, out=slow)
+        x += b
+        x -= slow
+        np.less(x, -4, out=slow)
+        np.greater(x, 16, out=b)
+        slow |= b
+        np.logical_not(finite, out=b)
+        slow |= b
+        np.copyto(a, 1.0, where=slow)
+        np.copyto(x, 0, where=slow)
+        np.subtract(16, x, out=i)  # the power k
+        np.copyto(p, a)
+        np.take(_POW10_LD, i, out=power, mode="clip")
+        p *= power
+        np.rint(p, out=rounded)
+        np.copyto(m, rounded, casting="unsafe")
+        p -= rounded  # what the rounding dropped, exactly
+        np.take(_BAND, i, out=f, mode="clip")
+        a *= f
+        np.copyto(f, p)
+        np.abs(f, out=f)
+        np.subtract(0.5, f, out=f)
+        # a tie within the rounding error, or a 17th digit rounded up to 10^17
+        np.less_equal(f, a, out=b)
+        slow |= b
+        np.greater_equal(m, 10 ** 17, out=b)
+        slow |= b
+        np.logical_or(zero, slow, out=b)
+        np.copyto(m, 0, where=b)
+
+    def _records(self, n: int) -> np.ndarray:
+        """The ``(n, 40)`` records of the first ``n`` values, those marked
+        slow by :meth:`_digits` formatted by Python."""
+        v, x, i, m, keep = self.v[:n], self.x[:n], self.i[:n], self.m[:n], self.keep[:n]
+        hi, lo, d0, mid = self.hi[:n], self.lo[:n], self.d0[:n], self.mid[:n]
+        last, l8, b, c, u = self.last[:n], self.l8[:n], self.b[:n], self.c[:n], self.u[:n]
+        groups = self.groups[:, :n]
+        # m as its first digit and four groups of four; every integer digit
+        # is printed, fraction digits up to the last non-zero one
+        _split(m, 10 ** 8, hi, lo)
+        _split(hi, 10 ** 8, d0, mid)
+        _split(mid, 10 ** 4, groups[0], groups[1])
+        _split(lo, 10 ** 4, groups[2], groups[3])
+        np.take(_LAST[0], groups[0], out=last, mode="clip")
+        for j in range(1, 4):
+            np.take(_LAST[j], groups[j], out=l8, mode="clip")
+            np.maximum(last, l8, out=last)
+        np.maximum(x, last, out=keep)
+        record = self.record[:n]
+        words = record.view(np.uint64)
+        np.signbit(v, out=b)
+        np.copyto(i, b)
+        i *= 21
+        i += x
+        i += 4
+        i *= 10
+        i += d0
+        np.take(_HEAD, i, out=u, mode="clip")
+        words[:, 0] = u
+        for j in range(4):
+            np.take(_KEEP[j], keep, out=i, mode="clip")
+            i += groups[j]
+            np.take(_PAIRS, i, out=u, mode="clip")
+            words[:, j + 1] = u
+        # the point goes in the free byte after digit x, which is 0, when x
+        # >= 0 and a fraction digit follows; the other values rewrite the 0
+        # of their byte 2 max(x, 0) + 7, byte 39 getting its separator below
+        np.greater_equal(x, 0, out=b)
+        np.greater(last, x, out=c)
+        b &= c
+        point = self.u8[:n]
+        np.copyto(point, b)
+        point *= ord(".")
+        np.maximum(x, 0, out=i)
+        i *= 2
+        i += self.point_at[:n]
+        np.put(record.reshape(-1), i, point, mode="clip")
+        record[:, -1] = ord(",")
+
+        slow = np.flatnonzero(self.slow[:n])
+        if slow.size:
+            text = np.array(["%.17g" % f for f in v[slow].tolist()], dtype=f"S{_RECORD - 1}")
+            record[slow, :-1] = text.view(np.uint8).reshape(slow.size, _RECORD - 1)
+        return record
 
 
-def _g17_records(rows: np.ndarray) -> np.ndarray:
-    """The ``(values, 40)`` records of ``rows``, the values marked slow by
-    :func:`_g17_digits` formatted by Python."""
-    v = np.ascontiguousarray(rows, dtype=float).ravel()
-    x, m, slow = _g17_digits(v)
-    # m as its first digit and four groups of four; every integer digit is
-    # printed, fraction digits up to the last non-zero one
-    hi, lo = _split(m, 10 ** 8)
-    d0, hi = _split(hi, 10 ** 8)
-    groups = (*_split(hi, 10 ** 4), *_split(lo, 10 ** 4))
-    last = np.maximum(np.maximum(_LAST[0][groups[0]], _LAST[1][groups[1]]),
-                      np.maximum(_LAST[2][groups[2]], _LAST[3][groups[3]]))
-    keep = np.maximum(x, last)
-    words = np.empty((v.size, _RECORD // 8), dtype=np.uint64)
-    words[:, 0] = _HEAD[(np.signbit(v) * 21 + x + 4) * 10 + d0]
-    for i, g in enumerate(groups):
-        words[:, i + 1] = _PAIRS[_KEEP[i][keep] + g]
-    record = words.view(np.uint8).reshape(v.size, _RECORD)
-    point = np.flatnonzero((x >= 0) & (last > x))
-    record.reshape(-1)[point * _RECORD + 2 * x[point] + 7] = ord(".")
-    record[:, -1] = ord(",")
-    record.reshape(len(rows), -1, _RECORD)[:, -1, -1] = ord("\n")
-
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        text = np.array(["%.17g" % f for f in v[slow].tolist()], dtype=f"S{_RECORD - 1}")
-        record[slow, :-1] = text.view(np.uint8).reshape(slow.size, _RECORD - 1)
-    return record
-
-
-def _g17_rows(rows: np.ndarray) -> bytes:
+def _g17_rows(rows: np.ndarray) -> bytearray:
     """``rows`` as text, one line per row and each value as ``%.17g``
-    with a comma between: the records of ``rows`` without their zero
-    bytes."""
-    return _g17_records(rows).tobytes().translate(None, b"\0")
+    with a comma between."""
+    rows = np.asarray(rows, dtype=float)
+    return _G17Work(rows.size).text(rows[:, 0], rows[:, 1:])
 
 
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:
     """CSV export: one comment line with provenance, a header of
     ``time,<machine>.<state>`` columns, then one row per step, each value
-    as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted on a
-    :func:`tensorsim.taylor._thread_pool` of ``min(blocks, CPUs)`` threads
-    (numpy releases the GIL in its loops) and written in order, a pool's
-    worth at a time; the bytes do not depend on the block size or the
-    thread count."""
+    as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted in
+    the work arrays of one :class:`_G17Work` and written in order; the
+    bytes do not depend on the block size."""
     from . import __version__
 
     meta = meta or {}
     labels = pm.state_labels(sys.machines)
-    data = np.column_stack([traj.times, traj.states])
-    lows = range(0, len(data), _CSV_BLOCK)
-
-    def block(lo):
-        return _g17_rows(data[lo:lo + _CSV_BLOCK])
-
-    with open(path, "wb") as fh, _thread_pool(len(lows)) as pool:
+    times, states = traj.times, traj.states
+    work = _G17Work(min(len(times), _CSV_BLOCK) * (1 + states.shape[1]))
+    with open(path, "wb") as fh:
         tags = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
         fh.write((f"# tensorsim {__version__} format={TRAJECTORY_FORMAT} {tags}".rstrip() + "\n"
                   + "time," + ",".join(labels) + "\n").encode())
-        for at in range(0, len(lows), pool.size):
-            fh.writelines(pool.map(block, lows[at:at + pool.size]))
+        for lo in range(0, len(times), _CSV_BLOCK):
+            fh.write(work.text(times[lo:lo + _CSV_BLOCK], states[lo:lo + _CSV_BLOCK]))
 
 
 def export_switch_log(traj: Trajectory, path, meta: dict | None = None) -> None:

@@ -198,9 +198,8 @@ def test_no_global_statement():
 
 
 def test_one_thread_pool_site():
-    # the stencil chunks, the sparse ALS rank blocks and the trajectory
-    # writer's row blocks share one helper, which sizes the pool and joins
-    # its threads
+    # the stencil chunks and the sparse ALS rank blocks share one helper,
+    # which sizes the pool and joins its threads
     sites = sorted(f"{name}.{s}" for name in MODULES
                    for callee in ("ThreadPoolExecutor", "ThreadPool", "Thread", "start_new_thread")
                    for s in _call_scopes(_parse(name), callee))
