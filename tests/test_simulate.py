@@ -503,6 +503,19 @@ class TestExports:
         sim.export_trajectory_csv(traj, wscc_sys, p)
         assert _csv_body(p) == _savetxt(np.column_stack([traj.times, traj.states]))
 
+    def test_heap_trim(self, tmp_path, wscc_sys, monkeypatch):
+        # the C heap is trimmed once per file, and where the C library has
+        # no malloc_trim the writer writes the same bytes without it
+        scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.2)
+        traj = sim.run_adaptive(wscc_sys, None, scn, sim.SwitchPolicy(mode="force_full"))
+        pads = []
+        monkeypatch.setattr(sim, "_MALLOC_TRIM", pads.append)
+        sim.export_trajectory_csv(traj, wscc_sys, tmp_path / "trimmed.csv")
+        assert pads == [0]
+        monkeypatch.setattr(sim, "_MALLOC_TRIM", None)
+        sim.export_trajectory_csv(traj, wscc_sys, tmp_path / "untrimmed.csv")
+        assert (tmp_path / "trimmed.csv").read_bytes() == (tmp_path / "untrimmed.csv").read_bytes()
+
     def test_one_row_trajectory(self, tmp_path, wscc_sys):
         # a fault cleared at once over a zero horizon: the initial state only
         scn = sim.Scenario(fault_bus=7, t_clear=0.0, t_end=0.0)
