@@ -56,12 +56,19 @@ def test_schema(tool, committed):
             assert all(HEX64.fullmatch(h) for h in hashes.values())
     pairs = {f"{lv:.2f}/bus{bus}" for lv in tool.WSCC9_LEVELS for bus in tool.WSCC9_BUSES}
     assert len(pairs) == 81
-    for mode in ("force_full", "adaptive"):
-        results = committed["cct"][mode]
-        assert set(results) == pairs, mode
+    assert set(committed["cct"]) == {"force_full", "adaptive", "ring33_force_full"}
+    ring = committed["cct"]["ring33_force_full"]
+    assert set(ring) == {f"bus{bus}" for bus in tool.RING33_CCT_BUSES}
+    for name, results in (("force_full", committed["cct"]["force_full"]),
+                          ("adaptive", committed["cct"]["adaptive"]),
+                          ("ring33_force_full", ring)):
+        if name != "ring33_force_full":
+            assert set(results) == pairs, name
         for res in results.values():
             assert set(res) == {"stable_steps", "unstable_steps", "capped", "runs"}
             assert res["runs"][0] == [0.0, True]
+    # ring searches cannot fail yet (ROADMAP item 1): bus 17 runs into the cap
+    assert ring["bus17"]["capped"] and ring["bus17"]["unstable_steps"] is None
     assert len(committed["ring33"]) == len(tool.RING33_SCENARIOS)
     for runs in committed["ring33"].values():
         assert set(runs) == {"adaptive", "force_full", "force_hybrid", "force_taylor",

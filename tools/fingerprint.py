@@ -27,7 +27,9 @@ The file holds no timings.  It records:
   (level, bus) pair, levels 0.80-1.20 by 0.05 and buses 1-9, in
   force_full mode and in adaptive mode with the acceptance model set:
   stable steps, unstable steps, whether the cap was hit, and the verdicts
-  in the order the search asked for them;
+  in the order the search asked for them; and the same for the force_full
+  searches of ``ring:33`` (seed 7, level 1.0) at buses 1 and 17, whose
+  lockstep lanes step 297 states (bus 17 hits the cap);
 * ``ring33``: whether each fixed ``ring:33`` scenario completes, and at
   which step it blows up, in every switching mode, with a model set of
   ranks (16, 12) at level 1.0;
@@ -88,8 +90,9 @@ WSCC9_BUSES = tuple(range(1, 10))
 # fault that throws G17 out of step while G1 stays
 RING33_SCENARIOS = ((22, 0.92, 3.0), (11, 0.98, 3.0), (4, 0.65, 3.0), (2, 0.57, 3.0),
                     (1, 1.00, 3.0), (17, 1.00, 3.0))
+RING33_CCT_BUSES = (1, 17)
 # the parts computed in their own processes (functions of this module)
-PARTS = ("cct_force_full", "cct_adaptive", "ring33", "criterion3")
+PARTS = ("cct_force_full", "cct_adaptive", "cct_ring33", "ring33", "criterion3")
 
 
 def _sha256(path: Path) -> str:
@@ -134,22 +137,33 @@ def _acceptance_set(sys_m):
                                                   fit_tolerance=1e-9))
 
 
+def _cct_entry(sys_m, model_set, mode: str, bus: int) -> dict:
+    from tensorsim import simulate as sim, study
+    res = study.cct_search(sys_m, model_set, sim.SwitchPolicy(mode=mode), bus)
+    return {"stable_steps": res.stable_steps, "unstable_steps": res.unstable_steps,
+            "capped": res.capped, "runs": [[t, ok] for t, ok in res.runs]}
+
+
 def _cct_grid(mode: str, model_set) -> dict:
-    from tensorsim import cases, power_model as pm, simulate as sim, study
+    from tensorsim import cases, power_model as pm
     spec = cases.wscc9_spec()
     out = {}
     for lv in WSCC9_LEVELS:
         sys_l = pm.build_system(spec, lv)
         for bus in WSCC9_BUSES:
-            res = study.cct_search(sys_l, model_set, sim.SwitchPolicy(mode=mode), bus)
-            out[f"{lv:.2f}/bus{bus}"] = {
-                "stable_steps": res.stable_steps, "unstable_steps": res.unstable_steps,
-                "capped": res.capped, "runs": [[t, ok] for t, ok in res.runs]}
+            out[f"{lv:.2f}/bus{bus}"] = _cct_entry(sys_l, model_set, mode, bus)
     return out
 
 
 def cct_force_full() -> dict:
     return {"cct": {"force_full": _cct_grid("force_full", None)}}
+
+
+def cct_ring33() -> dict:
+    from tensorsim import cases, power_model as pm
+    sys_m = pm.build_system(cases.synthetic_ring_spec(33, seed=7), 1.0)
+    return {"cct": {"ring33_force_full": {
+        f"bus{bus}": _cct_entry(sys_m, None, "force_full", bus) for bus in RING33_CCT_BUSES}}}
 
 
 def cct_adaptive() -> dict:
