@@ -20,6 +20,17 @@ Network conditions: every right-hand side runs on the pre-fault reduced
 matrix ``SystemModel.y_red`` except while a fault is on, whose matrix
 comes from the one fault route :func:`apply_fault`.  Faults self-clear
 with no topology change, so the post-fault network is the pre-fault one.
+
+Stacked states: the full right-hand side takes any stack of states,
+``(..., 9m)``.  It views every stacked state's machines as the rows of one
+``(L*m, 9)`` array, so each state variable is one 1-D column and each
+elementwise operation is one flat numpy loop; on the ``(B, 1, m)`` views
+of a CCT search's lanes numpy would take its general iterator, at 2-3
+times the per-operation cost.  The per-machine parameters come repeated
+L times from a cache on the system.  The network product alone keeps the
+caller's stacking: a ``(B, 1, m)`` stack of lanes is B one-row BLAS
+products, each with the bits of a single state's call, where one
+``(B, m)`` product rounds differently.
 """
 
 from __future__ import annotations
@@ -517,6 +528,9 @@ class SystemModel:
     # dense parameter arrays in machine order, and the constants _rhs
     # folds from them, built once for fast rhs
     _p: dict = field(init=False, repr=False)
+    # (L, the _RHS_PARAMS of _p repeated for L stacked states): the last
+    # stack size _rhs saw, a cache that pickling leaves out
+    _tiled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = lambda name: np.array([getattr(m, name) for m in self.machines])
@@ -539,6 +553,28 @@ class SystemModel:
             p["te"], p["ta"], p["tf"], p["tch"], p["tg"],
         ], axis=-1)
         self._p = p
+
+    def __getstate__(self):
+        return {**self.__dict__, "_tiled": None}
+
+    def _stacked_params(self, stack: int) -> dict:
+        """The parameters ``_rhs`` reads, each repeated for ``stack``
+        stacked states, as contiguous slices of one block: a ``(stack*m,)``
+        column per parameter, then the ``(stack*m, 9)`` row divisors.  The
+        block is rebuilt when the stack size changes.  Threads sharing the
+        system may each replace the slot; each uses the block it read or
+        built."""
+        if stack == 1:
+            return self._p
+        tiled = self._tiled
+        if tiled is None or tiled[0] != stack:
+            rows = stack * self.n_machines
+            block = np.concatenate([np.tile(self._p[k], stack) for k in _RHS_PARAMS]
+                                   + [np.tile(self._p["div"], (stack, 1)).ravel()])
+            params = {k: block[j * rows:(j + 1) * rows] for j, k in enumerate(_RHS_PARAMS)}
+            params["div"] = block[len(_RHS_PARAMS) * rows:].reshape(rows, N_STATES)
+            tiled = self._tiled = (stack, params)
+        return tiled[1]
 
     @property
     def n_machines(self) -> int:
@@ -567,16 +603,31 @@ def state_labels(machines) -> list:
     return [f"{m.id}.{s}" for m in machines for s in STATE_NAMES]
 
 
+# the per-machine parameters _rhs reads, besides the row divisors
+_RHS_PARAMS = ("xdp", "aex", "bex", "d", "xd-xdp", "xq-xqp", "ke", "ka",
+               "ka*kf/tf", "vref", "kf/tf", "pref", "r_droop")
+
+
 def _rhs(sys: SystemModel, yred: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Nine-ODE right-hand side, broadcast over leading batch axes.
+    """Nine-ODE right-hand side, over any leading stack of states.
 
     ``x`` has shape (..., 9m); the return matches, including the floating
     dtype (extended-precision states stay extended, which the
     finite-difference tensor builds rely on).
+
+    The L stacked states' machines are the rows of one ``(L*m, 9)`` view,
+    so every state variable is a 1-D column, and the parameters come
+    repeated L times (:meth:`SystemModel._stacked_params`).  Only the
+    network product takes the caller's shape, ``(..., m) @ yred.T``, so
+    each ``(1, m)`` lane of a ``(B, 1, m)`` stack is its own one-row BLAS
+    product with a single call's bits, and a ``(T, m)`` batch stays one
+    matrix product.  Every element meets the operations of a single
+    state's call in the same order, so stacking moves no bit.
     """
-    p = sys._p
     m = sys.n_machines
-    xs = x.reshape(x.shape[:-1] + (m, N_STATES))
+    lead = x.shape[:-1]
+    xs = x.reshape(-1, N_STATES)
+    p = sys._stacked_params(len(xs) // m)
     delta = xs[..., 0]
     omega = xs[..., 1]
     eqp = xs[..., 2]
@@ -589,7 +640,8 @@ def _rhs(sys: SystemModel, yred: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     u = np.sin(delta) - 1j * np.cos(delta)  # e^{j(delta - pi/2)}
     e_net = (edp + 1j * eqp) * u
-    i_net = e_net @ yred.T
+    # a single state's columns are already its machines
+    i_net = (e_net.reshape(lead + (m,)) @ yred.T).ravel() if lead else e_net @ yred.T
     i_mach = i_net * np.conj(u)
     id_ = i_mach.real
     iq = i_mach.imag

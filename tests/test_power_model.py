@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -403,18 +405,97 @@ class TestRhsBytes:
         cases = [sys_m.x0, *batch[:4], batch, batch.reshape(2, 8, -1),
                  batch[:4].astype(np.longdouble), batch[0].astype(np.longdouble)]
         for x in cases:
-            got = pm._rhs(sys_m, yred, x)
-            ref = _rhs_reference(sys_m, yred, x)
-            assert got.dtype == ref.dtype == x.dtype and got.shape == x.shape
-            if x.dtype == np.float64:
-                assert got.tobytes() == ref.tobytes()
-            else:
-                # extended precision carries uninitialised padding bytes;
-                # finite values that are equal and share their sign have
-                # the same significant bits
-                assert np.all(np.isfinite(ref))
-                assert np.array_equal(got, ref)
-                assert np.array_equal(np.signbit(got), np.signbit(ref))
+            _assert_same_bits(pm._rhs(sys_m, yred, x), _rhs_reference(sys_m, yred, x), x)
+
+
+def _assert_same_bits(got, ref, x):
+    assert got.dtype == ref.dtype == x.dtype and got.shape == x.shape
+    if x.dtype == np.float64:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        # extended precision carries uninitialised padding bytes; finite
+        # values that are equal and share their sign have the same
+        # significant bits
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# leading shapes of a stack of states: a single state, (B, 1) lanes as a
+# CCT search steps them, (T,) batches as the stencil passes them, and
+# (a, b) stacks
+STACKS = hs.one_of(
+    hs.just(()),
+    hs.tuples(hs.integers(1, 40), hs.just(1)),
+    hs.tuples(hs.integers(1, 64)),
+    hs.tuples(hs.integers(1, 5), hs.integers(1, 5)),
+)
+
+
+@pytest.fixture(scope="module")
+def networks(wscc_sys, ring5_sys):
+    """(system, pre-fault and faulted reduced matrices) per system."""
+    return {name: (sys_m, (sys_m.y_red, pm.apply_fault(sys_m, sys_m.machines[-1].bus)))
+            for name, sys_m in (("wscc9", wscc_sys), ("ring5", ring5_sys))}
+
+
+class TestStackedRhs:
+    """``_rhs`` views any stack of states as the rows of one flat array,
+    with the parameters repeated from a cache on the system that holds one
+    stack size.  Every stack must keep the bits of the per-column formula
+    of :func:`_rhs_reference`, whatever stack sizes came before."""
+
+    @pytest.mark.parametrize("system", ["wscc9", "ring5"])
+    @settings(max_examples=40, deadline=None)
+    @given(stacks=hs.lists(STACKS, min_size=1, max_size=4), seed=hs.integers(0, 2**32 - 1),
+           extended=hs.booleans(), faulted=hs.booleans())
+    def test_stacks_match_per_column_formula(self, networks, system, stacks, seed, extended,
+                                             faulted):
+        sys_m, yreds = networks[system]
+        yred = yreds[faulted]
+        rng = np.random.default_rng(seed)
+        for stack in stacks:
+            x = sys_m.x0 + 0.3 * rng.uniform(-1.0, 1.0, stack + (sys_m.n_states,))
+            if extended:
+                x = x.astype(np.longdouble)
+            _assert_same_bits(pm._rhs(sys_m, yred, x), _rhs_reference(sys_m, yred, x), x)
+            if math.prod(stack) > 1:  # the slot now holds this stack size
+                assert sys_m._tiled[0] == math.prod(stack)
+
+    def test_threads_sharing_a_system(self, wscc_sys):
+        # the stencil's thread pool runs batches of different sizes on one
+        # system at once, each thread replacing the cached stack size
+        rng = np.random.default_rng(5)
+        states = [wscc_sys.x0 + 0.3 * rng.uniform(-1.0, 1.0, shape + (wscc_sys.n_states,))
+                  for shape in ((), (7, 1), (33,), (64,))]
+        refs = [_rhs_reference(wscc_sys, wscc_sys.y_red, x).tobytes() for x in states]
+        start = threading.Barrier(len(states))
+        same = [None] * len(states)
+
+        def work(k):
+            start.wait()
+            same[k] = all(pm._rhs(wscc_sys, wscc_sys.y_red, states[k]).tobytes() == refs[k]
+                          for _ in range(300))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert same == [True] * len(states)
+
+    def test_pickle_leaves_the_cache_out(self, ring5_sys):
+        x = np.tile(ring5_sys.x0, (3, 1, 1))
+        bare = pickle.dumps(ring5_sys)
+        want = pm._rhs(ring5_sys, ring5_sys.y_red, x)
+        assert ring5_sys._tiled[0] == 3
+        # a build worker receives the system without the cached block,
+        # and rebuilds it to the same bits
+        assert len(pickle.dumps(ring5_sys)) == len(bare)
+        clone = pickle.loads(pickle.dumps(ring5_sys))
+        assert clone._tiled is None and ring5_sys._tiled[0] == 3
+        assert pm._rhs(clone, clone.y_red, x).tobytes() == want.tobytes()
+        assert "_tiled" not in repr(ring5_sys)
 
 
 class TestColumnNorms:
