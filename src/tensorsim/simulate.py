@@ -215,13 +215,14 @@ def _check_dt(dt: float) -> None:
 def integrate(rhs, x_init, t_span, dt: float) -> Trajectory:
     """Classical fixed-step RK4 of the pure right-hand side ``rhs`` with
     every step recorded; a blow-up truncates the trajectory and flags it
-    (see :func:`_march`)."""
+    (see :func:`_march`).  The span must be a whole number of steps."""
     _check_dt(dt)
     t0, t1 = t_span
     if t1 < t0:
         raise ValueError(f"t_span ({t0}, {t1}) ends before it starts")
+    k_end = _grid_step(t1 - t0, dt, f"the length of t_span ({t0}, {t1})")
     x = np.asarray(x_init, dtype=float)
-    states = np.empty((int(round((t1 - t0) / dt)) + 1, x.size))
+    states = np.empty((k_end + 1, x.size))
     states[0] = x
     steps, end = _march(states, dt, rhs)
     return Trajectory(

@@ -47,6 +47,19 @@ class TestIntegrate:
             with pytest.raises(ValueError, match=rf"t_span \({span[0]}, {span[1]}\)"):
                 sim.integrate(lambda x: x, np.zeros(1), span, 0.1)
 
+    def test_span_off_the_step_grid(self):
+        # a span that is not a whole number of steps would end past its end
+        # or short of it; a NaN end has no step count at all
+        for span, why in (((0, 0.015), "not on the 0.01 s step grid"),
+                          ((0, 0.004), "not on the 0.01 s step grid"),
+                          ((0, math.nan), "not a finite time"),
+                          ((0, math.inf), "not a finite time")):
+            with pytest.raises(ValueError, match=rf"t_span \({span[0]}, {span[1]}\)\S* .*{why}"):
+                sim.integrate(lambda x: -x, np.array([1.0]), span, 0.01)
+        # within the grid rule's 1e-9 a span is a whole number of steps
+        traj = sim.integrate(lambda x: -x, np.array([1.0]), (0.1, 0.3 + 1e-12), 0.01)
+        assert len(traj.times) == 21
+
     def test_nonzero_start_time(self):
         traj = sim.integrate(lambda x: -x, np.array([1.0]), (0.5, 1.5), 0.01)
         assert traj.times[0] == 0.5
