@@ -27,11 +27,17 @@ machine:
     level-1.0 model set of ranks (8, 8)), each a new process;
   - both builds again with numpy's default BLAS threads, as in a default
     shell (observations beside the pinned timings, not claims);
-  - single CCT searches, in one process: ``ring:33`` buses 1 and 17 in
-    force_full, and ``wscc9`` bus 7 in adaptive mode with the acceptance
-    model set, whose build time and summed ALS seconds per order (each
-    job's ``als_s`` in ``ModelSet.timings``, measured in its worker) are
-    recorded beside it as observations;
+  - single CCT searches, in one process: ``ring:33`` buses 1 and 17 and
+    ``wscc9`` bus 7 in force_full, and ``wscc9`` bus 7 in adaptive mode
+    with the acceptance model set, whose build time and summed ALS
+    seconds per order (each job's ``als_s`` in ``ModelSet.timings``,
+    measured in its worker) are recorded beside it as observations;
+  - in one process, the µs per call of the full right-hand side
+    ``power_model._rhs`` on one 1-D state (``b1``) and on ``(B, 1, n)``
+    stacks of B lanes, as a force_full CCT search steps them: B = 8, 32
+    and 85 on ``wscc9`` and B = 8 on ``ring:33`` (``rhs.wscc9.b32_us``
+    and so on), each the median of seven rounds of 500 calls, the sizes
+    interleaved within a round;
   - one model build of six structured (level, order) jobs, more than the
     build's workers and more than any CLI command starts: ``ring:33``
     seeds 7, 8 and 9 at level 1.0 and ranks (16, 12), in one
@@ -105,6 +111,7 @@ for order in (2, 3):
         jobs[f"order{order}"]["als_s"] for jobs in models.timings.values())
 for name, args in (("search.ring33.bus1.force_full_s", (ring, None, "force_full", 1)),
                    ("search.ring33.bus17.force_full_s", (ring, None, "force_full", 17)),
+                   ("search.wscc9.bus7.force_full_s", (wscc, None, "force_full", 7)),
                    ("search.wscc9.bus7.adaptive_s", (wscc, models, "adaptive", 7))):
     sys_m, ms, mode, bus = args
     t = time.perf_counter()
@@ -112,6 +119,27 @@ for name, args in (("search.ring33.bus1.force_full_s", (ring, None, "force_full"
     out[name] = time.perf_counter() - t
     out[name[:-2] + "_stable_steps"] = res.stable_steps
 print(json.dumps(out))
+"""
+# run in a side's tree: _rhs µs per call on a 1-D state (b1) and on B
+# lockstep lanes, the median of seven rounds with the sizes interleaved
+RHS = r"""
+import json, time
+import numpy as np
+from tensorsim import cases, power_model as pm
+systems = {"wscc9": pm.build_system(cases.wscc9_spec(), 1.0),
+           "ring33": pm.build_system(cases.synthetic_ring_spec(33, seed=7), 1.0)}
+stacks = {"wscc9": (1, 8, 32, 85), "ring33": (1, 8)}
+times = {}
+for _ in range(7):
+    for name, sizes in stacks.items():
+        s = systems[name]
+        for b in sizes:
+            x = s.x0.copy() if b == 1 else np.tile(s.x0, (b, 1, 1))
+            t = time.perf_counter()
+            for _ in range(500):
+                pm._rhs(s, s.y_red, x)
+            times.setdefault(f"rhs.{name}.b{b}_us", []).append((time.perf_counter() - t) / 500 * 1e6)
+print(json.dumps({k: float(np.median(v)) for k, v in times.items()}))
 """
 # run in a side's tree: the six-job structured build
 SIX_JOBS = r"""
@@ -255,7 +283,8 @@ def _summary(runs: list, better: dict) -> dict:
         row["n"] = len(side["change"])
         base = row["parent"]["median"]
         row["ratio"] = row["change"]["median"] / base if base else None
-        direction = better.get(name.split("/")[-1], "lower" if name.endswith("_s") else None)
+        direction = better.get(name.split("/")[-1],
+                               "lower" if name.endswith(("_s", "_us")) else None)
         if direction:
             row["better"] = direction
             sign = 1.0 if direction == "higher" else -1.0
@@ -303,7 +332,7 @@ def main(argv=None) -> int:
             for side in order:
                 values = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
                           **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS),
-                          **_script(trees[side], EXPORT)}
+                          **_script(trees[side], EXPORT), **_script(trees[side], RHS)}
                 runs.append({"side": side, "pair": k, "values": values})
                 print(f"pair {k} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
         for side in SIDES:
