@@ -512,7 +512,9 @@ def build_reduced_admittance(
 class SystemModel:
     """Solved system: parameters, reduced network, and equilibrium state.
 
-    Immutable after construction; the right-hand-side evaluators are pure
+    Immutable after construction but for one cache slot, the parameters
+    of the last stack size the full right-hand side saw, which any thread
+    may replace whole; the right-hand-side evaluators are otherwise pure
     functions, so concurrent simulations may share one instance.
     """
 
@@ -528,8 +530,8 @@ class SystemModel:
     # dense parameter arrays in machine order, and the constants _rhs
     # folds from them, built once for fast rhs
     _p: dict = field(init=False, repr=False)
-    # (L, the _RHS_PARAMS of _p repeated for L stacked states): the last
-    # stack size _rhs saw, a cache that pickling leaves out
+    # (L, _stacked_params(L)) for the last stack size L above one that _rhs
+    # saw: a cache, left out of pickles, repr and ==
     _tiled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -559,20 +561,27 @@ class SystemModel:
 
     def _stacked_params(self, stack: int) -> dict:
         """The parameters ``_rhs`` reads, each repeated for ``stack``
-        stacked states, as contiguous slices of one block: a ``(stack*m,)``
-        column per parameter, then the ``(stack*m, 9)`` row divisors.  The
-        block is rebuilt when the stack size changes.  Threads sharing the
-        system may each replace the slot; each uses the block it read or
-        built."""
+        stacked states: a ``(stack*m,)`` column per parameter, each a
+        contiguous slice of one block, and the ``(stack*m, 9)`` row
+        divisors.  They are rebuilt when the stack size changes.  Threads
+        sharing the system may each replace the slot; each uses the
+        parameters it read or built.
+
+        The divisors are their own array, not columns of the block: with
+        them the block of the ``ring:33`` Jacobian's 297-state stencil is
+        1.7 MB, more than any array that stencil frees, and perfbench's
+        ``ring33_cli`` peak RSS then read 105.7 MB in most runs instead of
+        102 MB."""
         if stack == 1:
             return self._p
         tiled = self._tiled
         if tiled is None or tiled[0] != stack:
             rows = stack * self.n_machines
-            block = np.concatenate([np.tile(self._p[k], stack) for k in _RHS_PARAMS]
-                                   + [np.tile(self._p["div"], (stack, 1)).ravel()])
+            block = np.empty(len(_RHS_PARAMS) * rows)
             params = {k: block[j * rows:(j + 1) * rows] for j, k in enumerate(_RHS_PARAMS)}
-            params["div"] = block[len(_RHS_PARAMS) * rows:].reshape(rows, N_STATES)
+            for k, col in params.items():
+                col.reshape(stack, -1)[:] = self._p[k]
+            params["div"] = np.tile(self._p["div"], (stack, 1))
             tiled = self._tiled = (stack, params)
         return tiled[1]
 

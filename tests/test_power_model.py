@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -478,10 +479,16 @@ class TestStackedRhs:
                           for _ in range(300))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(len(states))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)  # switch threads inside the cache's check and fill
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert same == [True] * len(states)
 
     def test_pickle_leaves_the_cache_out(self, ring5_sys):
