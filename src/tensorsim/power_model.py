@@ -568,10 +568,10 @@ class SystemModel:
         parameters it read or built.
 
         The divisors are their own array, not columns of the block: with
-        them the block of the ``ring:33`` Jacobian's 297-state stencil is
-        1.7 MB, more than any array that stencil frees, and perfbench's
-        ``ring33_cli`` peak RSS then read 105.7 MB in most runs instead of
-        102 MB."""
+        them the block for the ``ring:33`` Jacobian's 297-state stencil
+        is 1.7 MB, larger than any array that stencil frees, and the peak
+        memory of the simulations run after such a build rose by about
+        3.6 MB in most runs (2-core x86-64 Linux host, glibc malloc)."""
         if stack == 1:
             return self._p
         tiled = self._tiled
