@@ -498,8 +498,9 @@ class TestStackedRhs:
         assert ring5_sys._tiled[0] == 3
         # a build worker receives the system without the cached block,
         # and rebuilds it to the same bits
-        assert len(pickle.dumps(ring5_sys)) == len(bare)
-        clone = pickle.loads(pickle.dumps(ring5_sys))
+        cached = pickle.dumps(ring5_sys)
+        assert len(cached) == len(bare)
+        clone = pickle.loads(cached)
         assert clone._tiled is None and ring5_sys._tiled[0] == 3
         assert pm._rhs(clone, clone.y_red, x).tobytes() == want.tobytes()
         assert "_tiled" not in repr(ring5_sys)
