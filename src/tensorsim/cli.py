@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -436,6 +437,8 @@ def _cmd_sweep(args, outdir, cfg_hash):
         lo, hi, step = (float(t) for t in args.sweep_levels.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad --sweep-levels '{args.sweep_levels}'") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"--sweep-levels '{args.sweep_levels}' must be finite numbers")
     if not (step > 0 and hi >= lo):
         raise ConfigError(f"--sweep-levels '{args.sweep_levels}' gives no level "
                           "(want start <= stop and step > 0)")

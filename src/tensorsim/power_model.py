@@ -184,12 +184,8 @@ class SystemSpec:
 # what converting a malformed field to int or float raises
 _BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
 
-_MACHINE_KEYS = {
-    "h": "h", "d": "d", "xd": "xd", "xq": "xq", "xdp": "xdp", "xqp": "xqp",
-    "td0p": "td0p", "tq0p": "tq0p", "ka": "ka", "ta": "ta", "ke": "ke",
-    "te": "te", "kf": "kf", "tf": "tf", "aex": "aex", "bex": "bex",
-    "r_droop": "r_droop", "tg": "tg", "tch": "tch", "pg": "pg",
-}
+_MACHINE_KEYS = ("h", "d", "xd", "xq", "xdp", "xqp", "td0p", "tq0p", "ka", "ta", "ke",
+                 "te", "kf", "tf", "aex", "bex", "r_droop", "tg", "tch", "pg")
 
 
 def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
@@ -269,7 +265,7 @@ def parse_system(raw: dict, source: str = "<dict>") -> SystemSpec:
     mach_buses = set()
     for i, rec in enumerate(records("machines")):
         try:
-            kwargs = {dst: float(rec[src]) for src, dst in _MACHINE_KEYS.items() if src in rec}
+            kwargs = {k: float(rec[k]) for k in _MACHINE_KEYS if k in rec}
             mach = MachineParams(id=str(rec["id"]), bus=int(rec["bus"]), **kwargs)
         except SystemDataError as exc:
             fail(f"machines[{i}]: {exc}")

@@ -538,16 +538,11 @@ class ClearingProbes:
 # digit may round the other way than the exact value's goes through
 # Python's ``'%.17g' % v``.
 #
-# A file is formatted on the calling thread, so the order of its
-# allocations, and with it the state it leaves malloc's heap in, is the
-# same from one run to the next.  Blocks mapped on a thread pool wrote the
-# same bytes no faster (most of a block's numpy calls are short and hold
-# the GIL) but made the heap vary: the ring33_cli benchmark, which parses
-# every file it has the CLI write, then peaked at 103 MB in some runs and
-# at 109-118 MB in others (2 cores).  The work arrays of a file are made
-# once, by one :class:`_G17Work`, and every numpy call of a block writes
-# into them, so a block allocates only its text.  Once the file is
-# written, the heap's free pages go back to the OS (:func:`_trim_heap`).
+# The blocks are formatted in order on the calling thread: most of a
+# block's numpy calls are short and hold the GIL, so threads write the same
+# bytes no faster, and the heap is left in the same state from one run to
+# the next.  Once the file is written, the heap's free pages go back to the
+# OS (:func:`_trim_heap`).
 _CSV_BLOCK = 16  # rows per formatted block; the bytes do not depend on it
 _RECORD = 40
 
@@ -592,176 +587,70 @@ _PAIRS, _LAST = _group_tables()
 _KEEP = np.clip(np.arange(17) - _GROUP_FIRST[:, None] + 1, 0, 4) * 10000
 
 
-def _split(n: np.ndarray, unit: int, q: np.ndarray, r: np.ndarray) -> None:
-    """``q, r = divmod(n, unit)`` in place, with numpy's ``//`` by a
-    constant, which is several times faster than its ``%`` and ``divmod``."""
-    np.floor_divide(n, unit, out=q)
-    np.multiply(q, unit, out=r)
-    np.subtract(n, r, out=r)
-
-
-class _G17Work:
-    """The work arrays for formatting blocks of up to ``size`` values as
-    text, :meth:`text` formatting one block.
-
-    A block of n values uses the first n items of each array.  Table
-    lookups use ``np.take`` in ``clip`` mode, which writes straight into
-    its ``out`` (the indices are always in range); the records are a
-    view of the ``bytearray`` whose zero bytes :meth:`text` deletes."""
-
-    def __init__(self, size: int):
-        size = max(size, 1)
-
-        def arrays(dtype, count):
-            return [np.empty(size, dtype) for _ in range(count)]
-
-        self.v, self.a, self.f = arrays(float, 3)
-        self.p, self.rounded, self.power = arrays(np.longdouble, 3)
-        self.x, self.i, self.m, self.hi, self.lo, self.d0, self.mid, self.keep = arrays(np.int64, 8)
-        self.groups = np.empty((4, size), np.int64)
-        self.finite, self.zero, self.slow, self.b, self.c = arrays(bool, 5)
-        self.last, self.l8 = arrays(np.int8, 2)
-        self.u = np.empty(size, np.uint64)
-        self.u8 = np.empty(size, np.uint8)
-        self.text_bytes = bytearray(size * _RECORD)
-        self.record = np.frombuffer(self.text_bytes, np.uint8).reshape(size, _RECORD)
-        self.point_at = np.arange(size) * _RECORD + 7  # byte 7 of each record
-
-    def text(self, times: np.ndarray, states: np.ndarray) -> bytearray:
-        """The rows ``[t, *x]`` of ``times`` and ``states`` as text, one
-        line per row and each value as ``%.17g`` with a comma between."""
-        rows, n = len(times), len(times) * (1 + states.shape[1])
-        block = self.v[:n].reshape(rows, -1)
-        block[:, 0] = times
-        block[:, 1:] = states
-        self._digits(n)
-        record = self._records(n)
-        record.reshape(rows, -1)[:, -1] = ord("\n")
-        self.record[n:] = 0  # no text from an earlier, larger block
-        return self.text_bytes.translate(None, b"\0")
-
-    def _digits(self, n: int) -> None:
-        """``x``, ``m`` and ``slow`` of the first ``n`` values ``v``: each
-        finite non-zero one that ``%.17g`` prints without an exponent is
-        ±m·10^(x−16), m its 17 digits (0 for a zero, x = 0); ``slow`` marks
-        the others, and those whose m the product below cannot be trusted
-        to round as the exact value does.
-
-        m is ``|v|·10^(16−x)`` rounded half to even, the product taken in
-        ``np.longdouble``, where every power used is exact.  A product
-        within its rounding error (from ``np.finfo(np.longdouble)``) of a
-        tie is marked slow, so where ``longdouble`` is ``double`` every
-        value is."""
-        v, a, f, x, i, m = self.v[:n], self.a[:n], self.f[:n], self.x[:n], self.i[:n], self.m[:n]
-        finite, zero, slow, b = self.finite[:n], self.zero[:n], self.slow[:n], self.b[:n]
-        p, rounded, power = self.p[:n], self.rounded[:n], self.power[:n]
-        np.abs(v, out=a)
-        np.isfinite(a, out=finite)
-        np.equal(a, 0, out=zero)
-        np.logical_not(finite, out=b)
-        b |= zero
-        np.copyto(a, 1.0, where=b)
-        np.log10(a, out=f)
-        np.floor(f, out=f)
-        np.clip(f, -5, 17, out=f)
-        np.copyto(x, f, casting="unsafe")
-        # x + 1 when |v| reaches 10^(x+1), x - 1 when it falls short of 10^x
-        np.add(x, 6, out=i)
-        np.take(_DECADE, i, out=f, mode="clip")
-        np.greater_equal(a, f, out=b)
-        i -= 1
-        np.take(_DECADE, i, out=f, mode="clip")
-        np.less(a, f, out=slow)
-        x += b
-        x -= slow
-        np.less(x, -4, out=slow)
-        np.greater(x, 16, out=b)
-        slow |= b
-        np.logical_not(finite, out=b)
-        slow |= b
-        np.copyto(a, 1.0, where=slow)
-        np.copyto(x, 0, where=slow)
-        np.subtract(16, x, out=i)  # the power k
-        np.copyto(p, a)
-        np.take(_POW10_LD, i, out=power, mode="clip")
-        p *= power
-        np.rint(p, out=rounded)
-        np.copyto(m, rounded, casting="unsafe")
-        p -= rounded  # what the rounding dropped, exactly
-        np.take(_BAND, i, out=f, mode="clip")
-        a *= f
-        np.copyto(f, p)
-        np.abs(f, out=f)
-        np.subtract(0.5, f, out=f)
-        # a tie within the rounding error, or a 17th digit rounded up to 10^17
-        np.less_equal(f, a, out=b)
-        slow |= b
-        np.greater_equal(m, 10 ** 17, out=b)
-        slow |= b
-        np.logical_or(zero, slow, out=b)
-        np.copyto(m, 0, where=b)
-
-    def _records(self, n: int) -> np.ndarray:
-        """The ``(n, 40)`` records of the first ``n`` values, those marked
-        slow by :meth:`_digits` formatted by Python."""
-        v, x, i, m, keep = self.v[:n], self.x[:n], self.i[:n], self.m[:n], self.keep[:n]
-        hi, lo, d0, mid = self.hi[:n], self.lo[:n], self.d0[:n], self.mid[:n]
-        last, l8, b, c, u = self.last[:n], self.l8[:n], self.b[:n], self.c[:n], self.u[:n]
-        groups = self.groups[:, :n]
-        # m as its first digit and four groups of four; every integer digit
-        # is printed, fraction digits up to the last non-zero one
-        _split(m, 10 ** 8, hi, lo)
-        _split(hi, 10 ** 8, d0, mid)
-        _split(mid, 10 ** 4, groups[0], groups[1])
-        _split(lo, 10 ** 4, groups[2], groups[3])
-        np.take(_LAST[0], groups[0], out=last, mode="clip")
-        for j in range(1, 4):
-            np.take(_LAST[j], groups[j], out=l8, mode="clip")
-            np.maximum(last, l8, out=last)
-        np.maximum(x, last, out=keep)
-        record = self.record[:n]
-        words = record.view(np.uint64)
-        np.signbit(v, out=b)
-        np.copyto(i, b)
-        i *= 21
-        i += x
-        i += 4
-        i *= 10
-        i += d0
-        np.take(_HEAD, i, out=u, mode="clip")
-        words[:, 0] = u
-        for j in range(4):
-            np.take(_KEEP[j], keep, out=i, mode="clip")
-            i += groups[j]
-            np.take(_PAIRS, i, out=u, mode="clip")
-            words[:, j + 1] = u
-        # the point goes in the free byte after digit x, which is 0, when x
-        # >= 0 and a fraction digit follows; the other values rewrite the 0
-        # of their byte 2 max(x, 0) + 7, byte 39 getting its separator below
-        np.greater_equal(x, 0, out=b)
-        np.greater(last, x, out=c)
-        b &= c
-        point = self.u8[:n]
-        np.copyto(point, b)
-        point *= ord(".")
-        np.maximum(x, 0, out=i)
-        i *= 2
-        i += self.point_at[:n]
-        np.put(record.reshape(-1), i, point, mode="clip")
-        record[:, -1] = ord(",")
-
-        slow = np.flatnonzero(self.slow[:n])
-        if slow.size:
-            text = np.array(["%.17g" % f for f in v[slow].tolist()], dtype=f"S{_RECORD - 1}")
-            record[slow, :-1] = text.view(np.uint8).reshape(slow.size, _RECORD - 1)
-        return record
-
-
 def _g17_rows(rows: np.ndarray) -> bytearray:
     """``rows`` as text, one line per row and each value as ``%.17g``
-    with a comma between."""
-    rows = np.asarray(rows, dtype=float)
-    return _G17Work(rows.size).text(rows[:, 0], rows[:, 1:])
+    with a comma between.
+
+    Each finite non-zero value that ``%.17g`` prints without an exponent is
+    ±m·10^(x−16), m its 17 digits (0 for a zero, x = 0).  m is
+    ``|v|·10^(16−x)`` rounded half to even, the product taken in
+    ``np.longdouble``, where every power used is exact.  A product within
+    its rounding error (from ``np.finfo(np.longdouble)``) of a tie is
+    marked slow, so where ``longdouble`` is ``double`` every value is.
+    Table lookups use ``np.take`` in ``clip`` mode: the indices are always
+    in range."""
+    v = np.ascontiguousarray(rows, dtype=float).ravel()
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    zero = a == 0
+    np.copyto(a, 1.0, where=zero | ~finite)
+    x = np.clip(np.floor(np.log10(a)), -5, 17).astype(np.int64)
+    # x + 1 when |v| reaches 10^(x+1), x - 1 when it falls short of 10^x
+    up = a >= np.take(_DECADE, x + 6, mode="clip")
+    x -= a < np.take(_DECADE, x + 5, mode="clip")
+    x += up
+    slow = (x < -4) | (x > 16) | ~finite
+    np.copyto(a, 1.0, where=slow)
+    np.copyto(x, 0, where=slow)
+    k = 16 - x
+    p = np.take(_POW10_LD, k, mode="clip")
+    p *= a
+    rounded = np.rint(p)
+    m = rounded.astype(np.int64)
+    p -= rounded  # what the rounding dropped, exactly
+    # a tie within the rounding error, or a 17th digit rounded up to 10^17
+    slow |= 0.5 - np.abs(p.astype(float)) <= a * np.take(_BAND, k, mode="clip")
+    slow |= m >= 10 ** 17
+    np.copyto(m, 0, where=zero | slow)
+
+    # m as its first digit and four groups of four; every integer digit is
+    # printed, fraction digits up to the last non-zero one
+    hi = m // 10 ** 8
+    d0 = hi // 10 ** 8
+    halves = np.stack([hi - d0 * 10 ** 8, m - hi * 10 ** 8])
+    tops = halves // 10 ** 4
+    groups = np.stack([tops, halves - tops * 10 ** 4], axis=1).reshape(4, -1)
+    last = np.take(_LAST, groups + np.arange(0, 40000, 10000)[:, None], mode="clip").max(axis=0)
+    keep = np.maximum(x, last)
+    text = bytearray(v.size * _RECORD)
+    record = np.frombuffer(text, np.uint8).reshape(v.size, _RECORD)
+    words = record.view(np.uint64)
+    words[:, 0] = np.take(_HEAD, (np.signbit(v) * 21 + x + 4) * 10 + d0, mode="clip")
+    for j, g in enumerate(groups):
+        words[:, j + 1] = np.take(_PAIRS, np.take(_KEEP[j], keep, mode="clip") + g, mode="clip")
+    # the point goes in the free byte after digit x, which is 0, when x >= 0
+    # and a fraction digit follows; the other values rewrite the 0 of their
+    # byte 2 max(x, 0) + 7, byte 39 getting its separator below
+    point = ((x >= 0) & (last > x)) * np.uint8(ord("."))
+    record.put(np.arange(7, v.size * _RECORD, _RECORD) + 2 * np.maximum(x, 0), point, mode="clip")
+    record[:, -1] = ord(",")
+    record.reshape(len(rows), -1)[:, -1] = ord("\n")
+
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        digits = np.array(["%.17g" % f for f in v[slow].tolist()], dtype=f"S{_RECORD - 1}")
+        record[slow, :-1] = digits.view(np.uint8).reshape(slow.size, _RECORD - 1)
+    return text.translate(None, b"\0")
 
 
 # glibc's malloc_trim, None where the C library has none
@@ -777,9 +666,9 @@ def _trim_heap() -> None:
     kept by malloc for reuse, sits above it, so a process that writes many
     files and parses them back holds its high-water mark.  numpy's
     ``savetxt``, whose per-row allocations happened to let the heap shrink
-    after each parse, left the ring33_cli benchmark at 101 MB; the block
-    writer without the trim left it at 116 MB, and with it at 102 MB
-    (2 cores)."""
+    after each parse, left the ring33_cli benchmark at 101.6-101.7 MB; the
+    block writer without the trim left it at 102.6-124.5 MB, and with it
+    at 101.7-102.1 MB (two runs each, 2 cores)."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
@@ -787,22 +676,21 @@ def _trim_heap() -> None:
 def export_trajectory_csv(traj: Trajectory, sys: pm.SystemModel, path, meta: dict | None = None) -> None:
     """CSV export: one comment line with provenance, a header of
     ``time,<machine>.<state>`` columns, then one row per step, each value
-    as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted in
-    the work arrays of one :class:`_G17Work` and written in order; the
-    bytes do not depend on the block size.  Then the C heap is trimmed."""
+    as C's ``%.17g``.  Blocks of :data:`_CSV_BLOCK` rows are formatted by
+    :func:`_g17_rows` and written in order; the bytes do not depend on the
+    block size.  Then the C heap is trimmed."""
     from . import __version__
 
     meta = meta or {}
     labels = pm.state_labels(sys.machines)
     times, states = traj.times, traj.states
-    work = _G17Work(min(len(times), _CSV_BLOCK) * (1 + states.shape[1]))
     with open(path, "wb") as fh:
         tags = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
         fh.write((f"# tensorsim {__version__} format={TRAJECTORY_FORMAT} {tags}".rstrip() + "\n"
                   + "time," + ",".join(labels) + "\n").encode())
         for lo in range(0, len(times), _CSV_BLOCK):
-            fh.write(work.text(times[lo:lo + _CSV_BLOCK], states[lo:lo + _CSV_BLOCK]))
-    del work
+            block = slice(lo, lo + _CSV_BLOCK)
+            fh.write(_g17_rows(np.column_stack([times[block], states[block]])))
     _trim_heap()
 
 

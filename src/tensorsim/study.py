@@ -314,6 +314,8 @@ def rank_search(
     assembled from the factors kept by (order, rank), which have the
     bytes of :func:`tensorsim.taylor.compress_taylor_terms` at that pair.
     """
+    if math.isnan(improvement_tol_deg):  # an infinite one stops at once, or at max_rank
+        raise ValueError("improvement_tol_deg must not be NaN")
     if max_rank is None:
         max_rank = sys.n_states**2
     if start_rank > max_rank:
@@ -383,6 +385,11 @@ def threshold_search(
     if metric not in err_fns:
         raise ValueError(f"unknown error metric '{metric}' (want 'rms' or 'max')")
     err_fn = err_fns[metric]
+    for name, value in (("start_deg", start_deg), ("step_deg", step_deg), ("max_deg", max_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if math.isnan(max_error_deg):  # an infinite band passes every error
+        raise ValueError("max_error_deg must not be NaN")
     if step_deg <= 0 or max_deg < start_deg:
         raise ValueError(
             f"empty threshold range: {start_deg} to {max_deg} degrees in steps of {step_deg}"

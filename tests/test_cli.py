@@ -183,6 +183,23 @@ class TestErrors:
         assert code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", "--sweep-levels", "0.8:inf:0.1"], "--sweep-levels"),
+        (["sweep", "--sweep-levels=-inf:1.2:0.1"], "--sweep-levels"),
+        (["sweep", "--sweep-levels", "0.8:1.2:inf"], "--sweep-levels"),
+        (["threshold-search", "--t-clear", "0.1", "--max-threshold", "nan", *FAST], "max_deg"),
+        (["threshold-search", "--t-clear", "0.1", "--max-error", "nan", *FAST], "max_error_deg"),
+        (["rank-search", "--t-clear", "0.1", "--rank-tol", "nan", "--max-rank", "2"],
+         "improvement_tol_deg"),
+    ], ids=["sweep_inf_stop", "sweep_minus_inf_start", "sweep_inf_step", "threshold_nan_max",
+            "threshold_nan_band", "rank_nan_tol"])
+    def test_non_finite_bound_exit_two(self, tmp_path, capsys, argv, name):
+        # refused before any run, naming the bound, and no report is written
+        code = run_cli([*argv, "--system", "wscc9", "--fault-bus", "7", "--out", tmp_path])
+        assert code == 2
+        assert name in json.loads(capsys.readouterr().err)["message"]
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_reference_gen_exit_two(self, tmp_path, capsys):
         code = run_cli(
             ["simulate", "--system", "wscc9", "--fault-bus", "7", "--t-clear", "0.1",

@@ -508,7 +508,7 @@ class TestExports:
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_block_sizes(self, tmp_path, wscc_sys, monkeypatch, block):
         # the bytes do not depend on the block size; with 7 rows a block,
-        # the last one is shorter than the work arrays
+        # the last one is shorter than the others
         scn = sim.Scenario(fault_bus=7, t_clear=0.05, t_end=0.2)
         traj = sim.run_adaptive(wscc_sys, None, scn, sim.SwitchPolicy(mode="force_full"))
         monkeypatch.setattr(sim, "_CSV_BLOCK", block or len(traj.times))

@@ -345,6 +345,13 @@ class TestRankSweepCore:
         with pytest.raises(ValueError, match="start rank 3 > max rank 2"):
             study.rank_search(wscc_sys, scn, sim.SwitchPolicy(), start_rank=3, max_rank=2)
 
+    def test_nan_tolerance_rejected(self, wscc_sys, monkeypatch):
+        # a NaN tolerance would sweep on to max_rank as -inf does
+        monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a run started"))
+        scn = sim.Scenario(fault_bus=7, t_clear=0.08, t_end=2.0)
+        with pytest.raises(ValueError, match="improvement_tol_deg must not be NaN"):
+            study.rank_search(wscc_sys, scn, sim.SwitchPolicy(), improvement_tol_deg=math.nan)
+
 
 class TestThresholdSearch:
     def test_infinite_band_returns_upper_bound(self, wscc_sys, wscc_model_set):
@@ -404,6 +411,19 @@ class TestThresholdSearch:
         with pytest.raises(ValueError, match="empty threshold range"):
             study.threshold_search(wscc_sys, None, scn, sim.SwitchPolicy(),
                                    max_error_deg=float("inf"), **kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(start_deg=math.nan), dict(step_deg=math.nan), dict(max_deg=math.nan),
+        dict(max_deg=math.inf), dict(start_deg=-math.inf), dict(step_deg=math.inf),
+        dict(max_error_deg=math.nan),
+    ], ids=["nan_start", "nan_step", "nan_max", "inf_max", "minus_inf_start", "inf_step",
+            "nan_band"])
+    def test_non_finite_bound_rejected(self, wscc_sys, monkeypatch, kw):
+        # an infinite band stays allowed: with a finite max_deg the search ends
+        monkeypatch.setattr(sim, "run_adaptive", lambda *a, **k: pytest.fail("a run started"))
+        scn = sim.Scenario(fault_bus=7, t_clear=0.1, t_end=2.0)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            study.threshold_search(wscc_sys, None, scn, sim.SwitchPolicy(), **kw)
 
 
 class TestTiming:

@@ -45,6 +45,15 @@ machine:
   - in one process, the best of three ``simulate.export_trajectory_csv``
     calls on one full-horizon ``ring:33`` force_full trajectory (bus 1
     cleared at 0.30 s, 1,601 rows of 298 values);
+* once per pair, both sides' kernels interleaved in one process, each
+  side's ``src/tensorsim`` imported under its own package name
+  (``tensorsim_parent``, ``tensorsim_change``): sixteen rounds, the side
+  that goes first alternating, of one ``export_trajectory_csv`` of that
+  ``ring:33`` trajectory and 500 calls of ``power_model._rhs`` on
+  ``wscc9`` at B = 1 and B = 32; each side's median is recorded in its own
+  run (``kernel.export.ring33_csv_s``, ``kernel.rhs.wscc9.b1_us`` and
+  ``kernel.rhs.wscc9.b32_us``), so the host's load in one moment weighs on
+  both sides alike;
 * the wall time of the tier-1 suite, once per side, with its summary
   line and pytest's ``-rf`` line of each failed test.
 
@@ -170,6 +179,41 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps({"export.ring33_csv_s": best}))
 """
 
+# run with both sides' packages importable: each side's kernels, the sides
+# interleaved, as {side: {metric: median}}
+KERNELS = r"""
+import json, os, tempfile, time
+from importlib import import_module
+import numpy as np
+names = ("parent", "change")
+kits = {}
+for side in names:
+    pm, sim, cases = (import_module(f"tensorsim_{side}.{mod}") for mod in ("power_model", "simulate", "cases"))
+    ring = pm.build_system(cases.synthetic_ring_spec(33, seed=7), 1.0)
+    traj = sim.run_adaptive(ring, None, sim.Scenario(fault_bus=1, t_clear=0.30),
+                            sim.SwitchPolicy(mode="force_full"))
+    assert traj.states.shape == (1601, 297), traj.states.shape
+    wscc = pm.build_system(cases.wscc9_spec(), 1.0)
+    kits[side] = (pm, sim, ring, traj, wscc)
+times = {side: {} for side in names}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trajectory.csv")
+    for r in range(16):
+        for side in (names if r % 2 == 0 else names[::-1]):
+            pm, sim, ring, traj, wscc = kits[side]
+            t = time.perf_counter()
+            sim.export_trajectory_csv(traj, ring, path, {})
+            times[side].setdefault("kernel.export.ring33_csv_s", []).append(time.perf_counter() - t)
+            for b in (1, 32):
+                x = wscc.x0.copy() if b == 1 else np.tile(wscc.x0, (b, 1, 1))
+                t = time.perf_counter()
+                for _ in range(500):
+                    pm._rhs(wscc, wscc.y_red, x)
+                times[side].setdefault(f"kernel.rhs.wscc9.b{b}_us", []).append(
+                    (time.perf_counter() - t) / 500 * 1e6)
+print(json.dumps({side: {k: float(np.median(v)) for k, v in t.items()} for side, t in times.items()}))
+"""
+
 
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
@@ -252,6 +296,19 @@ def _script(tree: Path, code: str) -> dict:
     return json.loads(_run([sys.executable, "-c", code], tree, env).stdout.strip().splitlines()[-1])
 
 
+def _kernels(trees: dict, base: Path) -> dict:
+    """Each side's :data:`KERNELS` medians, both sides timed in one
+    process, each side's ``src/tensorsim`` copied in as ``tensorsim_<side>``
+    (the package imports itself only relatively)."""
+    packages = base / "kernels"
+    if not packages.exists():
+        for side, tree in trees.items():
+            shutil.copytree(tree / "src" / "tensorsim", packages / f"tensorsim_{side}")
+    env = {**ENV, "PYTHONPATH": str(packages)}
+    proc = _run([sys.executable, "-c", KERNELS], base, env)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _tier1(tree: Path) -> dict:
     env = {**ENV, "PYTHONPATH": str(tree / "src")}
     t = time.perf_counter()
@@ -329,12 +386,16 @@ def main(argv=None) -> int:
         trees = _export(a.parent, base)
         for k in range(PAIRS):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
+            pair = {}
             for side in order:
-                values = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
-                          **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS),
-                          **_script(trees[side], EXPORT), **_script(trees[side], RHS)}
-                runs.append({"side": side, "pair": k, "values": values})
-                print(f"pair {k} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
+                pair[side] = {**_perfbench(trees[side]), **_cli(trees[side], base / "cli"),
+                              **_script(trees[side], SEARCHES), **_script(trees[side], SIX_JOBS),
+                              **_script(trees[side], EXPORT), **_script(trees[side], RHS)}
+            for side, values in _kernels(trees, base).items():
+                pair[side].update(values)
+            for side in order:
+                runs.append({"side": side, "pair": k, "values": pair[side]})
+                print(f"pair {k} {side}: {json.dumps(pair[side])}", file=sys.stderr, flush=True)
         for side in SIDES:
             runs.append({"side": side, "pair": 0, "values": _tier1(trees[side])})
     record["summary"] = _summary(runs, _better())
