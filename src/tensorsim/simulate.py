@@ -544,9 +544,9 @@ class ClearingProbes:
 # the next.  A block of 8 ring:33 rows allocates no array of 128 KB, glibc's
 # first mmap threshold; the records of 12 or 16 rows do, after which malloc
 # gives each block's freed arrays back to the OS and faults them in again:
-# 11,000 and 15,800 minor page faults per ring:33 file against 137 at 8
-# rows.  Once the file is written, the heap's free pages go back to the OS
-# (:func:`_trim_heap`).
+# in a fresh process, 9,000-11,000 and 14,000-15,800 minor page faults per
+# ring:33 file against 120-140 at 8 rows.  Once the file is written, the
+# heap's free pages go back to the OS (:func:`_trim_heap`).
 _CSV_BLOCK = 8  # rows per formatted block; the bytes do not depend on it
 _RECORD = 40
 
@@ -671,9 +671,9 @@ def _trim_heap() -> None:
     kept by malloc for reuse, sits above it, so a process that writes many
     files and parses them back holds its high-water mark.  numpy's
     ``savetxt``, whose per-row allocations happened to let the heap shrink
-    after each parse, left the ring33_cli benchmark at 101.6-101.7 MB; the
-    block writer without the trim left it at 102.6-124.5 MB, and with it
-    at 101.7-102.1 MB (two runs each, 2 cores)."""
+    after each parse, left the ring33_cli benchmark at 101.7-101.8 MB; the
+    block writer without the trim left it at 102.6-117.3 MB, and with it
+    at 101.9-102.1 MB (two runs each, 2 cores)."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
